@@ -73,30 +73,12 @@ func BenchmarkDutyValidity(b *testing.B) {
 
 // --- core kernel benches ---
 
-// BenchmarkThermalStep measures one 28 µs transient step of the 55-node
-// CMP4 RC network — the inner kernel of every simulation.
-func BenchmarkThermalStep(b *testing.B) {
-	m, err := thermal.New(floorplan.CMP4(), thermal.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := make(units.PowerVec, m.NumBlocks())
-	for i := range p {
-		p[i] = 1.5
-	}
-	m.SetPower(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step(control.PaperSamplePeriod)
-	}
-}
-
-// BenchmarkThermalStepExpm measures the same 28 µs step through the
-// exact ZOH discretization (T ← Φ·T + Ψ·u, no truncation error): one
-// fused pass over the dense packed propagator instead of the four RK4
-// stages. Compare against BenchmarkThermalStep for the speedup; power
-// is held constant here, so the memoized input term Ψ·P + ψ_amb is
-// reused across ticks just as in a fixed-power thermal study.
+// BenchmarkThermalStepExpm measures one 28 µs transient step of the
+// 55-node CMP4 RC network — the inner kernel of every simulation —
+// through the exact ZOH discretization (T ← Φ·T + Ψ·u, no truncation
+// error): one fused pass over the dense packed propagator. Power is
+// held constant here, so the memoized input term Ψ·P + ψ_amb is reused
+// across ticks just as in a fixed-power thermal study.
 func BenchmarkThermalStepExpm(b *testing.B) {
 	m, err := thermal.New(floorplan.CMP4(), thermal.DefaultParams())
 	if err != nil {
@@ -217,26 +199,6 @@ func BenchmarkGridStepN4(b *testing.B)   { benchGridStep(b, 2, 2) }
 func BenchmarkGridStepN16(b *testing.B)  { benchGridStep(b, 4, 4) }
 func BenchmarkGridStepN64(b *testing.B)  { benchGridStep(b, 8, 8) }
 func BenchmarkGridStepN256(b *testing.B) { benchGridStep(b, 16, 16) }
-
-// BenchmarkThermalStepFlat isolates the flattened-CSR RK4 kernel at its
-// raw stability-bound step (no substep loop), so improvements to the
-// integrator itself show without Step's ceil/substep bookkeeping.
-func BenchmarkThermalStepFlat(b *testing.B) {
-	m, err := thermal.New(floorplan.CMP4(), thermal.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := make(units.PowerVec, m.NumBlocks())
-	for i := range p {
-		p[i] = 1.5
-	}
-	m.SetPower(p)
-	h := m.MaxStableStep()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step(h)
-	}
-}
 
 // benchSweepWorkers runs a fixed specs×workloads study through the
 // work-stealing scheduler at the given worker count; compare ns/op
@@ -453,7 +415,10 @@ func BenchmarkAblationDiscretization(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationThermalStepSize measures integrator cost vs step.
+// BenchmarkAblationThermalStepSize measures the exact step's cost at
+// several step sizes. The discretization is built once per size before
+// the timer starts; each tick then costs the same one propagator pass
+// whatever dt is.
 func BenchmarkAblationThermalStepSize(b *testing.B) {
 	for _, dt := range []units.Seconds{7e-6, 28e-6, 112e-6} {
 		b.Run(formatUS(float64(dt)), func(b *testing.B) {
@@ -466,6 +431,9 @@ func BenchmarkAblationThermalStepSize(b *testing.B) {
 				p[i] = 1.5
 			}
 			m.SetPower(p)
+			if err := m.UseExact(dt); err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Step(dt)

@@ -1,9 +1,9 @@
 // Package zeroalloc turns the repository's zero-allocation hot-path
 // contracts into a compile-time gate. Functions marked
-// //mtlint:zeroalloc — the fused RK4 stages, the packed GEMV/GEMM
-// kernels, the exact-ZOH tick, the batched lockstep tick — run
-// millions of times per simulated second; a single stray append or
-// escaping closure turns a 28 µs tick into a GC treadmill, and the
+// //mtlint:zeroalloc — the packed GEMV/GEMM kernels, the exact-ZOH
+// tick, the batched lockstep tick — run millions of times per
+// simulated second; a single stray append or escaping closure turns a
+// 28 µs tick into a GC treadmill, and the
 // existing testing.AllocsPerRun spot checks only catch the paths a
 // test happens to drive. This analyzer instead asks the compiler: it
 // runs `go build -gcflags=-m` on the package (the build cache replays

@@ -64,9 +64,6 @@ func (g TF) Feedback() TF {
 // Poles returns the roots of the denominator.
 func (g TF) Poles() []complex128 { return g.Den.Roots() }
 
-// Zeros returns the roots of the numerator.
-func (g TF) Zeros() []complex128 { return g.Num.Roots() }
-
 // IsStable reports whether every pole lies strictly in the open left
 // half of the s-plane — the criterion the paper verifies with a root
 // locus plot ("all the poles must lie to the left of the y-axis").

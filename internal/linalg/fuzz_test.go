@@ -56,9 +56,11 @@ func randPacked(rng *rand.Rand, rows, cols int) (p *Packed, x, bias []float64) {
 	return p, x, bias
 }
 
-// FuzzMulAddInto is the differential target for fusedTick64: MulAddInto
-// (SIMD when available) against the registered generic twin
-// mulAddGeneric, within FMA tolerance.
+// FuzzMulAddInto is the differential target for the single-lane
+// (k = 1) path through fusedTickBatch56 and fusedTickBatch64:
+// MulAddInto (SIMD when available) against the registered generic twin
+// mulAddGeneric, within FMA tolerance. Rows past 56 reach the 64-row
+// kernel, rows up to 56 the seven-chunk one.
 func FuzzMulAddInto(f *testing.F) {
 	f.Add(int64(1), int64(8), int64(6))
 	f.Add(int64(2), int64(64), int64(64)) // full-stride operand
@@ -88,8 +90,10 @@ func FuzzMulAddInto(f *testing.F) {
 // fusedTickBatch56, and fusedTickBatch56x4 (lane counts reach 8, so
 // quad groups plus every remainder width are exercised). Three oracles:
 // per lane, the batched kernel must be bit-identical to sequential
-// MulAddInto calls (documented contract — same operation kind and
-// column order) and must match the generic twin mulAddGeneric within
+// one-lane MulAddInto calls (documented contract — same operation kind
+// and column order, whatever the lane count, so the quad and pair
+// kernels must agree with the single-lane loop) and must match the
+// generic twin mulAddGeneric within
 // FMA tolerance; and the blocked generic twin mulBatchGeneric must be
 // bit-identical to per-lane mulAddGeneric, since on noasm builds it IS
 // the batch path and the bit-identity contract has to survive there

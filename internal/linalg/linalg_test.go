@@ -56,17 +56,6 @@ func TestMul(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{{1, 2, 3}, {4, 5, 6}})
-	at := a.Transpose()
-	if at.Rows() != 3 || at.Cols() != 2 {
-		t.Fatalf("transpose dims %dx%d, want 3x2", at.Rows(), at.Cols())
-	}
-	if at.At(2, 1) != 6 {
-		t.Errorf("At(2,1) = %v, want 6", at.At(2, 1))
-	}
-}
-
 func TestIsSymmetric(t *testing.T) {
 	s, _ := NewMatrixFrom([][]float64{{2, -1}, {-1, 2}})
 	if !s.IsSymmetric(0) {
@@ -120,26 +109,6 @@ func TestFactorNonSquare(t *testing.T) {
 	a := NewMatrix(2, 3)
 	if _, err := Factor(a); err == nil {
 		t.Fatal("expected non-square error")
-	}
-}
-
-func TestDet(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{{2, 0}, {0, 3}})
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(f.Det(), 6, 1e-12) {
-		t.Errorf("det = %v, want 6", f.Det())
-	}
-	// Pivoting flips sign bookkeeping; determinant must still be right.
-	b, _ := NewMatrixFrom([][]float64{{0, 1}, {1, 0}})
-	fb, err := Factor(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(fb.Det(), -1, 1e-12) {
-		t.Errorf("det = %v, want -1", fb.Det())
 	}
 }
 

@@ -15,10 +15,9 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 // thermal model exploits when computing steady states for several power
 // inputs over the same conductance matrix.
 type LU struct {
-	n    int
-	lu   []float64 // packed L (unit diagonal, below) and U (on/above diagonal)
-	piv  []int     // row permutation
-	sign int       // permutation parity, for determinant
+	n   int
+	lu  []float64 // packed L (unit diagonal, below) and U (on/above diagonal)
+	piv []int     // row permutation
 }
 
 // Factor computes the LU factorization of the square matrix a.
@@ -27,7 +26,7 @@ func Factor(a *Matrix) (*LU, error) {
 		return nil, fmt.Errorf("linalg: cannot factor %dx%d non-square matrix", a.Rows(), a.Cols())
 	}
 	n := a.Rows()
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, a.data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -49,7 +48,6 @@ func Factor(a *Matrix) (*LU, error) {
 				f.lu[p*n+j], f.lu[k*n+j] = f.lu[k*n+j], f.lu[p*n+j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivot := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -117,15 +115,6 @@ func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
 		}
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // Solve solves A·x = b directly (factor + solve in one call).

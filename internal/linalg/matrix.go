@@ -156,17 +156,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return out
 }
 
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // IsSymmetric reports whether the matrix is square and symmetric within
 // the given absolute tolerance.
 func (m *Matrix) IsSymmetric(tol float64) bool {

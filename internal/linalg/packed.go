@@ -75,20 +75,17 @@ func (p *Packed) SIMDAccelerated() bool {
 }
 
 // MulAddInto computes y = bias + P·x. x must have length Cols; y and
-// bias must have length Stride (entries past Rows are padding — the
-// kernel writes them, so y[Rows:Stride] is scratch, and bias padding
-// should be zero). y must not alias x or bias.
+// bias must have length Stride; entries of y past Rows are unspecified
+// on return. y must not alias x or bias. It is the one-lane case of
+// MulBatchInto and runs the same kernels, so a sequential tick is
+// bit-identical to a batched one.
 //
 //mtlint:zeroalloc
 func (p *Packed) MulAddInto(y, bias, x []float64) {
 	if len(x) != p.cols || len(y) != p.stride || len(bias) != p.stride {
 		p.badMulAddArgs(len(x), len(y), len(bias))
 	}
-	if p.SIMDAccelerated() && p.cols > 0 {
-		fusedTick64(&p.data[0], p.cols, &x[0], &bias[0], &y[0])
-		return
-	}
-	p.mulAddGeneric(y, bias, x)
+	p.mulBatch(y, bias, 1, x, p.cols)
 }
 
 // badMulAddArgs formats the MulAddInto argument panic off the hot
@@ -104,9 +101,9 @@ func (p *Packed) badMulAddArgs(nx, ny, nbias int) {
 		ny, nbias, p.stride))
 }
 
-// mulAddGeneric is the portable axpy-form y = bias + P·x for one lane.
-// Both MulAddInto and MulBatchInto fall back to it, so the two paths
-// produce bit-identical results on machines without the SIMD kernel.
+// mulAddGeneric is the portable axpy-form y = bias + P·x for one lane:
+// the reference twin of the SIMD kernels, and the loop mulBatchGeneric
+// runs for lanes past its blocks of four.
 //
 //mtlint:zeroalloc
 func (p *Packed) mulAddGeneric(y, bias, x []float64) {
@@ -134,13 +131,13 @@ func (p *Packed) mulAddGeneric(y, bias, x []float64) {
 // Cols lets callers hand over padded state panels directly (xStride ==
 // Stride for a state panel, xStride == Cols for a tightly packed input
 // panel). Per lane the arithmetic — operation kind and column order —
-// is exactly MulAddInto's, so a batched tick is bit-identical to k
-// sequential ticks. Zero allocations; y must not alias x or bias.
+// does not depend on k or on the lane's position, so a batched tick is
+// bit-identical to k sequential MulAddInto ticks. Zero allocations; y
+// must not alias x or bias.
 //
-// Unlike MulAddInto, entries past Rows in each y lane are unspecified
-// on return: when the live rows fit in seven of the eight ZMM chunks
-// (Rows ≤ 56) the kernel skips the all-zero padding chunk entirely
-// and never writes it.
+// Entries past Rows in each y lane are unspecified on return: when the
+// live rows fit in seven of the eight ZMM chunks (Rows ≤ 56) the
+// kernel skips the all-zero padding chunk entirely and never writes it.
 //
 //mtlint:zeroalloc
 func (p *Packed) MulBatchInto(y, bias []float64, k int, x []float64, xStride int) {
@@ -151,6 +148,14 @@ func (p *Packed) MulBatchInto(y, bias []float64, k int, x []float64, xStride int
 		len(x) < (k-1)*xStride+p.cols {
 		p.badMulBatchArgs(len(y), len(bias), k, len(x), xStride)
 	}
+	p.mulBatch(y, bias, k, x, xStride)
+}
+
+// mulBatch dispatches an argument-checked multi-lane update to the
+// SIMD kernels, or to mulBatchGeneric on machines without them.
+//
+//mtlint:zeroalloc
+func (p *Packed) mulBatch(y, bias []float64, k int, x []float64, xStride int) {
 	if p.SIMDAccelerated() && p.cols > 0 {
 		if p.rows <= 56 {
 			// Quad-lane kernel for whole groups of four: each 512-byte
@@ -263,16 +268,6 @@ func (p *Packed) badMulBatchArgs(ny, nbias, k, nx, xStride int) {
 	panic(fmt.Sprintf("linalg: MulBatchInto x length %d, want at least %d",
 		nx, (k-1)*xStride+p.cols))
 }
-
-// SIMDEnabled reports whether this binary runs the vectorized packed
-// kernel on this machine (AVX-512F detected at startup). The thermal
-// model consults it when deciding whether the exact-discretization step
-// beats the sparse RK4 kernel at small step sizes.
-func SIMDEnabled() bool { return simdAvailable }
-
-// SIMDCapableRows reports whether a packed operand with the given row
-// count would run the vectorized kernel on this machine.
-func SIMDCapableRows(rows int) bool { return simdAvailable && rows <= packedStride }
 
 // NewAligned returns a zeroed []float64 whose backing array starts on
 // a 64-byte boundary — the allocation helper for the state panels fed

@@ -64,7 +64,7 @@ func TestPackedMulAddMatchesRowMajor(t *testing.T) {
 }
 
 func TestPackedSIMDMatchesGeneric(t *testing.T) {
-	if !SIMDEnabled() {
+	if !simdAvailable {
 		t.Skip("no SIMD on this machine; generic path is the only path")
 	}
 	rng := rand.New(rand.NewSource(33))

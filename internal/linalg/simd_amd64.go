@@ -2,22 +2,15 @@
 
 package linalg
 
-// fusedTick64 computes y = bias + M·x for the packed column-major
-// operand at the fixed 64-row stride: eight ZMM accumulators hold the
-// whole output vector, and each column contributes one broadcast plus
-// eight fused multiply-adds. Implemented in simd_amd64.s; only called
-// when detectAVX512 reported support.
-//
-//mtlint:generic mulAddGeneric tested-by FuzzMulAddInto
-//go:noescape
-func fusedTick64(m *float64, cols int, x *float64, bias *float64, y *float64)
-
-// fusedTickBatch64 is the multi-lane (GEMM) form of fusedTick64: for
-// each lane l in [0,k) it computes y[l·64:] = bias[l·64:] + M·x[l·xStride:].
+// fusedTickBatch64 computes y[l·64:] = bias[l·64:] + M·x[l·xStride:]
+// for each lane l in [0,k), for the packed column-major operand at the
+// fixed 64-row stride: eight ZMM accumulators hold a lane's output, and
+// each column contributes one broadcast plus eight fused multiply-adds.
 // Lanes are walked in pairs so each 512-byte propagator column is
 // loaded into registers once and feeds two lanes' FMA chains; per lane
-// the operation sequence is identical to fusedTick64's, so batched and
-// sequential ticks are bit-identical. Implemented in simd_amd64.s.
+// the operation sequence does not depend on k, so batched and
+// sequential (k = 1) ticks are bit-identical. Implemented in
+// simd_amd64.s; only called when detectAVX512 reported support.
 //
 //mtlint:generic mulAddGeneric tested-by FuzzMulBatchInto
 //go:noescape
@@ -27,7 +20,7 @@ func fusedTickBatch64(m *float64, cols int, x *float64, xStride int, bias *float
 // live rows fit in seven ZMM chunks (Rows ≤ 56): the top padding chunk
 // of every column is provably zero, so the kernel skips ~12% of the
 // FMA stream and leaves rows 56–63 of each y lane unwritten. Live rows
-// keep fusedTick64's exact operation sequence. Implemented in
+// keep fusedTickBatch64's exact operation sequence. Implemented in
 // simd_amd64.s.
 //
 //mtlint:generic mulAddGeneric tested-by FuzzMulBatchInto
@@ -42,8 +35,8 @@ func fusedTickBatch56(m *float64, cols int, x *float64, xStride int, bias *float
 // accumulators never have to coexist in the 32 ZMM registers; the
 // operand row-block touched by a pass stays resident across all four
 // lanes. Per lane and per row the FMA sequence is still ascending
-// column order, exactly fusedTick64's, so bit-identity with the
-// sequential kernel is preserved. Like fusedTickBatch56, rows 56–63 of
+// column order, exactly fusedTickBatch56's, so bit-identity with the
+// single-lane path is preserved. Like fusedTickBatch56, rows 56–63 of
 // every y lane are unspecified on return. Implemented in simd_amd64.s.
 //
 //mtlint:generic mulBatchGeneric tested-by FuzzMulBatchInto

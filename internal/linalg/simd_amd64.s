@@ -2,105 +2,26 @@
 
 #include "textflag.h"
 
-// func fusedTick64(m *float64, cols int, x *float64, bias *float64, y *float64)
-//
-// y[0:64] = bias[0:64] + Σ_j x[j] · m[j·64 : j·64+64]
-//
-// The eight ZMM accumulators Z0–Z7 hold the 64-entry output for the
-// whole loop; each column costs one VBROADCASTSD plus eight
-// memory-operand VFMADD231PD, i.e. the matrix streams through the FMA
-// units once with no horizontal reductions. Columns are 64-byte
-// aligned (Pack aligns the backing array), so every load is a whole
-// cache line.
-TEXT ·fusedTick64(SB), NOSPLIT, $0-40
-	MOVQ m+0(FP), SI
-	MOVQ cols+8(FP), CX
-	MOVQ x+16(FP), DX
-	MOVQ bias+24(FP), BX
-	MOVQ y+32(FP), DI
-
-	VMOVUPD (BX), Z0
-	VMOVUPD 64(BX), Z1
-	VMOVUPD 128(BX), Z2
-	VMOVUPD 192(BX), Z3
-	VMOVUPD 256(BX), Z4
-	VMOVUPD 320(BX), Z5
-	VMOVUPD 384(BX), Z6
-	VMOVUPD 448(BX), Z7
-
-	TESTQ CX, CX
-	JZ    done
-
-	// Main loop: two columns per iteration so the broadcast loads of
-	// one column overlap the FMAs of the other.
-	MOVQ CX, AX
-	SHRQ $1, AX
-	JZ   tail
-
-pair:
-	VBROADCASTSD (DX), Z8
-	VBROADCASTSD 8(DX), Z9
-	VFMADD231PD  (SI), Z8, Z0
-	VFMADD231PD  64(SI), Z8, Z1
-	VFMADD231PD  128(SI), Z8, Z2
-	VFMADD231PD  192(SI), Z8, Z3
-	VFMADD231PD  256(SI), Z8, Z4
-	VFMADD231PD  320(SI), Z8, Z5
-	VFMADD231PD  384(SI), Z8, Z6
-	VFMADD231PD  448(SI), Z8, Z7
-	VFMADD231PD  512(SI), Z9, Z0
-	VFMADD231PD  576(SI), Z9, Z1
-	VFMADD231PD  640(SI), Z9, Z2
-	VFMADD231PD  704(SI), Z9, Z3
-	VFMADD231PD  768(SI), Z9, Z4
-	VFMADD231PD  832(SI), Z9, Z5
-	VFMADD231PD  896(SI), Z9, Z6
-	VFMADD231PD  960(SI), Z9, Z7
-	ADDQ $1024, SI
-	ADDQ $16, DX
-	DECQ AX
-	JNZ  pair
-
-tail:
-	ANDQ $1, CX
-	JZ   done
-	VBROADCASTSD (DX), Z8
-	VFMADD231PD  (SI), Z8, Z0
-	VFMADD231PD  64(SI), Z8, Z1
-	VFMADD231PD  128(SI), Z8, Z2
-	VFMADD231PD  192(SI), Z8, Z3
-	VFMADD231PD  256(SI), Z8, Z4
-	VFMADD231PD  320(SI), Z8, Z5
-	VFMADD231PD  384(SI), Z8, Z6
-	VFMADD231PD  448(SI), Z8, Z7
-
-done:
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
-	VMOVUPD Z2, 128(DI)
-	VMOVUPD Z3, 192(DI)
-	VMOVUPD Z4, 256(DI)
-	VMOVUPD Z5, 320(DI)
-	VMOVUPD Z6, 384(DI)
-	VMOVUPD Z7, 448(DI)
-	VZEROUPPER
-	RET
-
 // func fusedTickBatch64(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int)
 //
 // For each lane l in [0,k):
 //
 //	y[l·64 : l·64+64] = bias[l·64 : l·64+64] + Σ_j x[l·xStride+j] · m[j·64 : j·64+64]
 //
-// The GEMM form of fusedTick64: lanes are processed in pairs, with the
-// eight ZMM chunks of each propagator column loaded into Z16–Z23 once
-// and feeding both lanes' FMA chains (Z0–Z7 accumulate lane A, Z8–Z15
-// lane B), so the matrix streams through the load ports half as often
-// as two independent fusedTick64 passes. An odd trailing lane runs the
-// single-lane loop. Per lane the FMA sequence — column order, operand
-// rounding — is exactly fusedTick64's, which keeps batched ticks
-// bit-identical to sequential ones. cols must be > 0 (the Go wrapper
-// routes cols == 0 to the generic copy path).
+// Eight ZMM accumulators hold one lane's 64-entry output; each column
+// costs one VBROADCASTSD of x[j] plus eight VFMADD231PD, so the matrix
+// streams through the FMA units with no horizontal reductions. Columns
+// are 64-byte aligned (Pack aligns the backing array), so every load is
+// a whole cache line. Lanes are processed in pairs, with the eight
+// chunks of each propagator column loaded into Z16–Z23 once and feeding
+// both lanes' FMA chains (Z0–Z7 accumulate lane A, Z8–Z15 lane B), so
+// the matrix streams through the load ports half as often as two
+// single-lane passes. An odd trailing lane (and k == 1) runs the
+// single-lane loop. Per lane the FMA sequence — y = bias, then one
+// fused multiply-add per column in ascending order — is the same in
+// every kernel of this file, which keeps batched ticks bit-identical to
+// sequential ones. cols must be > 0 (the Go wrapper routes cols == 0 to
+// the generic copy path).
 TEXT ·fusedTickBatch64(SB), NOSPLIT, $0-56
 	MOVQ m+0(FP), SI
 	MOVQ cols+8(FP), CX
@@ -199,7 +120,7 @@ lanetail:
 	TESTQ R8, R8
 	JZ    batchdone
 
-	// Single trailing lane: fusedTick64's memory-operand loop.
+	// Single trailing lane: the memory-operand loop.
 	VMOVUPD (BX), Z0
 	VMOVUPD 64(BX), Z1
 	VMOVUPD 128(BX), Z2
@@ -248,9 +169,9 @@ batchdone:
 // kernel runs seven ZMM chunks per column instead of eight and never
 // touches rows 56–63 of bias or y (their contents are unspecified on
 // return — callers must not read a lane's padding). For the live rows
-// the per-lane FMA sequence is exactly fusedTick64's, so bit-identity
-// with the sequential kernel is preserved; only work that provably
-// produces zeros is skipped (~12% of the FMA stream).
+// the per-lane FMA sequence is exactly fusedTickBatch64's, so
+// bit-identity is preserved; only work that provably produces zeros is
+// skipped (~12% of the FMA stream).
 TEXT ·fusedTickBatch56(SB), NOSPLIT, $0-56
 	MOVQ m+0(FP), SI
 	MOVQ cols+8(FP), CX
@@ -455,7 +376,7 @@ batchdone56:
 // touches a disjoint 2 KB row block of the propagator per column, which
 // stays L1-resident while all four lanes consume it. Per lane and per
 // row the FMA order over columns is unchanged, so lanes remain
-// bit-identical to fusedTick64. Lane C and D input cursors are derived
+// bit-identical to the single-lane loop. Lane C and D input cursors are derived
 // by indexed addressing off lanes A and B ((R11)(R9*2), (R12)(R9*2)),
 // keeping R13–R15 untouched.
 TEXT ·fusedTickBatch56x4(SB), NOSPLIT, $0-56

@@ -4,15 +4,9 @@ package linalg
 
 var simdAvailable = false
 
-// fusedTick64 is never reached on non-amd64 or noasm builds:
-// SIMDAccelerated is false everywhere, so MulAddInto always takes the
-// generic path.
-func fusedTick64(m *float64, cols int, x *float64, bias *float64, y *float64) {
-	panic("linalg: fusedTick64 called without SIMD support")
-}
-
 // fusedTickBatch64 is never reached on non-amd64 or noasm builds:
-// MulBatchInto always takes the generic per-lane path.
+// SIMDAccelerated is false everywhere, so MulAddInto and MulBatchInto
+// always take the generic path.
 func fusedTickBatch64(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int) {
 	panic("linalg: fusedTickBatch64 called without SIMD support")
 }

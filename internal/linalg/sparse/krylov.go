@@ -135,9 +135,6 @@ func (p *Propagator) Substeps() int { return p.nsub }
 // Dim returns the fixed Krylov dimension m.
 func (p *Propagator) Dim() int { return p.m }
 
-// N returns the state dimension (excluding the augmented entry).
-func (p *Propagator) N() int { return p.n }
-
 // Workspace holds every buffer Advance and AdvanceBatch touch, sized
 // for a fixed (propagator, lane count) pair, so the per-tick path
 // allocates nothing.

@@ -1,6 +1,6 @@
-// Package sparse provides compressed-sparse-row matrices with
-// banded/blocked structure detection, zero-allocation SpMV/SpMM
-// kernels mirroring the packed dense API in internal/linalg, a
+// Package sparse provides compressed-sparse-row matrices,
+// zero-allocation SpMV/SpMM kernels mirroring the packed dense API in
+// internal/linalg, a
 // Jacobi-preconditioned conjugate-gradient solver, and a Krylov
 // (Arnoldi) matrix-exponential action. Together these let the thermal
 // model's exact-ZOH step cost scale with the nonzero count of the RC
@@ -45,7 +45,7 @@ func (a *CSR) Cols() int { return a.cols }
 func (a *CSR) NNZ() int { return len(a.vals) }
 
 // At returns the entry at (i, j), zero if not stored. It is a
-// convenience for tests and structure probes, not a kernel.
+// convenience for tests, not a kernel.
 func (a *CSR) At(i, j int) float64 {
 	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
 	for k := lo; k < hi; k++ {

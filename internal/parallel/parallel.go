@@ -78,16 +78,3 @@ func Chunks(n, size int) [][2]int {
 	}
 	return out
 }
-
-// RunGrid runs fn(ctx, r, c) for every cell of an rows×cols grid using
-// ForEach's worker pool and error semantics. Cells are indexed
-// row-major, so the "first" error is the one in the lowest (row, col)
-// position.
-func RunGrid(ctx context.Context, workers, rows, cols int, fn func(ctx context.Context, r, c int) error) error {
-	if rows <= 0 || cols <= 0 {
-		return ctx.Err()
-	}
-	return ForEach(ctx, workers, rows*cols, func(ctx context.Context, i int) error {
-		return fn(ctx, i/cols, i%cols)
-	})
-}

@@ -134,43 +134,6 @@ func TestForEachZeroItems(t *testing.T) {
 	}
 }
 
-func TestRunGridCoversEveryCell(t *testing.T) {
-	const rows, cols = 9, 13
-	var hits [rows][cols]atomic.Int64
-	err := RunGrid(context.Background(), 8, rows, cols, func(_ context.Context, r, c int) error {
-		hits[r][c].Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if n := hits[r][c].Load(); n != 1 {
-				t.Fatalf("cell (%d,%d) ran %d times", r, c, n)
-			}
-		}
-	}
-}
-
-func TestRunGridRowMajorIndexing(t *testing.T) {
-	var cells sync.Map
-	err := RunGrid(context.Background(), 1, 3, 4, func(_ context.Context, r, c int) error {
-		cells.Store([2]int{r, c}, true)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 4; c++ {
-			if _, ok := cells.Load([2]int{r, c}); !ok {
-				t.Fatalf("cell (%d,%d) never ran", r, c)
-			}
-		}
-	}
-}
-
 func TestChunks(t *testing.T) {
 	cases := []struct {
 		n, size int

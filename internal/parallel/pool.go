@@ -84,13 +84,6 @@ func (p *Pool) Submit(job func()) error {
 // Workers returns the pool's fixed worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Pending returns the number of jobs queued but not yet started.
-func (p *Pool) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
 // Close drains the pool: no new jobs are accepted, every job already
 // accepted runs to completion, and the workers exit. It is the
 // graceful-shutdown half of the serve layer's SIGTERM handling and is

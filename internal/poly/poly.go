@@ -125,18 +125,6 @@ func (p Poly) Mul(q Poly) Poly {
 	return Poly{C: out}.trim()
 }
 
-// Derivative returns dp/dx.
-func (p Poly) Derivative() Poly {
-	if len(p.C) <= 1 {
-		return New(0)
-	}
-	out := make([]float64, len(p.C)-1)
-	for i := 1; i < len(p.C); i++ {
-		out[i-1] = float64(i) * p.C[i]
-	}
-	return Poly{C: out}.trim()
-}
-
 // String renders the polynomial in conventional descending order.
 func (p Poly) String() string {
 	if p.IsZero() {

@@ -67,17 +67,6 @@ func TestMul(t *testing.T) {
 	}
 }
 
-func TestDerivative(t *testing.T) {
-	p := New(5, 3, 0, 2) // 5 + 3x + 2x³
-	d := p.Derivative()  // 3 + 6x²
-	if got := d.Eval(2); got != 27 {
-		t.Errorf("derivative Eval(2) = %v, want 27", got)
-	}
-	if !New(7).Derivative().IsZero() {
-		t.Error("derivative of constant should be zero")
-	}
-}
-
 func TestFromRoots(t *testing.T) {
 	p := FromRoots(1, -2, 3)
 	for _, r := range []float64{1, -2, 3} {

@@ -47,29 +47,24 @@ func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 	k := len(b.runners)
 	states := make([]*tickState, k)
 	for l, r := range b.runners {
-		st, err := r.begin(false)
+		st, err := r.begin()
 		if err != nil {
 			return nil, fmt.Errorf("sim: batch lane %d (%s): %w", l, r.label, err)
 		}
 		states[l] = st
 	}
-	dt := states[0].dt
 
-	// Fuse the thermal advance only where the sequential runner would
-	// arm the exact path; otherwise each lane substeps RK4 on its own,
-	// exactly as Runner.Run would, preserving bit-identity either way.
-	// begin() has already installed the warmup state, so the adopted
+	// Fuse the thermal advance into one panel update. Per lane it is
+	// the exact step Runner.Run takes, so bit-identity holds. begin()
+	// has already installed the warmup state, so the adopted
 	// temperatures carry into the panels.
-	var batch *thermal.BatchModel
-	if b.runners[0].model.PreferExact(dt) {
-		models := make([]*thermal.Model, k)
-		for l, r := range b.runners {
-			models[l] = r.model
-		}
-		var err error
-		if batch, err = thermal.NewBatch(models, dt); err != nil {
-			return nil, fmt.Errorf("sim: batching thermal models: %w", err)
-		}
+	models := make([]*thermal.Model, k)
+	for l, r := range b.runners {
+		models[l] = r.model
+	}
+	batch, err := thermal.NewBatch(models, states[0].dt)
+	if err != nil {
+		return nil, fmt.Errorf("sim: batching thermal models: %w", err)
 	}
 
 	results := make([]*metrics.Run, k)
@@ -97,17 +92,9 @@ func (b *BatchRunner) Run() ([]*metrics.Run, error) {
 		if active == 0 {
 			break
 		}
-		if batch != nil {
-			// Finished lanes ride along (their state keeps evolving, but
-			// their metrics are sealed); active lanes advance in lockstep.
-			batch.Step()
-		} else {
-			for l, st := range states {
-				if !done[l] {
-					b.runners[l].model.Step(st.dt)
-				}
-			}
-		}
+		// Finished lanes ride along (their state keeps evolving, but
+		// their metrics are sealed); active lanes advance in lockstep.
+		batch.Step()
 		for l, st := range states {
 			if !done[l] {
 				st.post()

@@ -282,7 +282,7 @@ func (r *Runner) finalizeShared(activity, shared []float64) {
 
 // Run executes the simulation and returns the collected metrics.
 func (r *Runner) Run() (*metrics.Run, error) {
-	st, err := r.begin(true)
+	st, err := r.begin()
 	if err != nil {
 		return nil, err
 	}
@@ -327,23 +327,21 @@ type tickState struct {
 	migCtx *migration.Context
 }
 
-// begin arms the thermal fast path (unless the caller owns it, as the
-// batch driver does), installs the memoized warmup state, and returns
-// the loop state positioned at tick 0.
-func (r *Runner) begin(armExact bool) (*tickState, error) {
+// begin arms the exact thermal step at the control period, installs
+// the memoized warmup state, and returns the loop state positioned at
+// tick 0.
+func (r *Runner) begin() (*tickState, error) {
 	cfg := r.cfg
 	dt := cfg.Policy.SamplePeriod
 	nb := len(cfg.Floorplan.Blocks)
 
-	// Arm the exact ZOH fast path for the control tick where it beats
-	// substepped RK4 on this machine (see thermal.PreferExact). The
+	// Arm the exact ZOH step for the control tick here, so a bad period
+	// surfaces as an error rather than a panic in the first Step. The
 	// discretization is memoized per (template, dt) and deterministic,
 	// so parallel sweep workers share one build and produce identical
-	// trajectories. Off-grid steps still fall back to RK4.
-	if armExact && r.model.PreferExact(dt) {
-		if err := r.model.UseExact(dt); err != nil {
-			return nil, fmt.Errorf("sim: arming exact thermal step: %w", err)
-		}
+	// trajectories.
+	if err := r.model.UseExact(dt); err != nil {
+		return nil, fmt.Errorf("sim: arming exact thermal step: %w", err)
 	}
 
 	// Pre-warm the package to the memoized warmup steady state (hottest

@@ -62,10 +62,10 @@ type BatchModel struct {
 // NewBatch adopts the given models — all stamped from one Template —
 // into a lockstep batch at step dt, rewiring their mutable state onto
 // shared panels. Current temperatures carry over; each lane's input
-// term is marked dirty so the first Step rebuilds it. The models'
-// own Step(dt) reverts to RK4 (their exact path is disarmed): while
-// adopted, only BatchModel.Step may advance thermal state on the
-// exact grid, since it owns the panel double-buffering.
+// term is marked dirty so the first Step rebuilds it. Once adopted, a
+// model's own Step panics and UseExact fails: only BatchModel.Step may
+// advance its thermal state, since the batch owns the panel
+// double-buffering.
 func NewBatch(models []*Model, dt units.Seconds) (*BatchModel, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("thermal: empty batch")
@@ -96,6 +96,7 @@ func NewBatch(models []*Model, dt units.Seconds) (*BatchModel, error) {
 			m.temps = lz[:m.n]
 			m.powerDirty = true
 			m.disc = nil
+			m.batched = true
 		}
 		return b, nil
 	}
@@ -120,6 +121,7 @@ func NewBatch(models []*Model, dt units.Seconds) (*BatchModel, error) {
 		m.power = lp
 		m.powerDirty = true
 		m.disc = nil
+		m.batched = true
 		copy(b.biasAmb[l*stride:(l+1)*stride], d.psiAmbPad)
 	}
 	return b, nil

@@ -160,3 +160,33 @@ func TestBatchRejectsMixedTemplates(t *testing.T) {
 		t.Fatal("batch accepted zero lanes")
 	}
 }
+
+// TestBatchAdoptedLaneCannotStepAlone checks that a lane's own Step
+// and UseExact refuse to touch state the batch owns, before and after
+// batched ticks.
+func TestBatchAdoptedLaneCannotStepAlone(t *testing.T) {
+	models := newBatchLanes(t, 2)
+	batch, err := NewBatch(models, batchTestDt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch.Step()
+	before := models[0].NodeTemps()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Step on an adopted lane did not panic")
+			}
+		}()
+		models[0].Step(batchTestDt)
+	}()
+	if err := models[0].UseExact(batchTestDt); err == nil {
+		t.Error("UseExact on an adopted lane succeeded")
+	}
+	for i, v := range models[0].NodeTemps() {
+		if v != before[i] {
+			t.Fatalf("refused Step changed node %d: %g -> %g", i, before[i], v)
+		}
+	}
+	batch.Step()
+}

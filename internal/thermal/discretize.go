@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"fmt"
+	"math"
 
 	"multitherm/internal/linalg"
 	"multitherm/internal/linalg/sparse"
@@ -30,9 +31,10 @@ const sparseCrossoverNodes = 64
 //	T(t+dt) = Φ·T(t) + Ψ·u,   Φ = e^{A·dt},  Ψ = ∫₀^dt e^{A·s}·B ds
 //
 // with no truncation error and no stability limit — the update is exact
-// for any dt, where explicit RK4 must substep past hMax. Both matrices
-// come out of one matrix exponential of the Van Loan augmented block
-// matrix, avoiding the cancellation-prone A⁻¹(Φ−I)B form:
+// for any dt, where an explicit integrator would have to substep past
+// its stability bound. Both matrices come out of one matrix exponential
+// of the Van Loan augmented block matrix, avoiding the
+// cancellation-prone A⁻¹(Φ−I)B form:
 //
 //	exp([[A·dt, B·dt], [0, 0]]) = [[Φ, Ψ], [0, I]]
 //
@@ -81,9 +83,6 @@ func (d *Discretization) Mode() string {
 // exponential. Cost is one 2n×2n Expm — milliseconds for the 55-node
 // CMP4 network — paid once per (Template, dt).
 func (t *Template) buildDiscretization(dt float64) (*Discretization, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("thermal: non-positive discretization step %g", dt)
-	}
 	n := t.n
 	g := t.ConductanceMatrix()
 	aug := linalg.NewMatrix(2*n, 2*n)
@@ -133,9 +132,6 @@ func (t *Template) buildDiscretization(dt float64) (*Discretization, error) {
 // schedule — the property that keeps sparse steps bit-reproducible
 // and batch lanes in lockstep.
 func (t *Template) buildSparseDiscretization(dt float64) (*Discretization, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("thermal: non-positive discretization step %g", dt)
-	}
 	probeX := make([]float64, t.n)
 	probeC := make([]float64, t.n)
 	const probeWatts = 2.0 // representative per-block dissipation
@@ -162,9 +158,13 @@ func (t *Template) buildSparseDiscretization(dt float64) (*Discretization, error
 // (floorplan, params), so a parallel sweep pays the build once per
 // configuration, not once per run. Concurrent first callers may race
 // to build; the construction is deterministic, so whichever instance
-// wins the store is identical to the losers.
+// wins the store is identical to the losers. dt must be finite and
+// positive.
 func (t *Template) Discretization(dt units.Seconds) (*Discretization, error) {
 	key := float64(dt)
+	if !(key > 0) || math.IsInf(key, 1) {
+		return nil, fmt.Errorf("thermal: discretization step %g is not a finite positive duration", key)
+	}
 	return t.discCache.LoadOrStore(key, func() (*Discretization, error) {
 		if t.n > sparseCrossoverNodes {
 			return t.buildSparseDiscretization(key)
@@ -190,32 +190,22 @@ func (d *Discretization) SIMDAccelerated() bool {
 //mtlint:allow unit propagator entries are dimensionless °C-per-°C responses
 func (d *Discretization) Phi(i, j int) float64 { return d.phi.At(i, j) }
 
-// PreferExact reports whether the exact discretized step is expected to
-// beat substepped RK4 at step dt on this machine. Three regimes
-// qualify: the template is above the sparse crossover (one Krylov
-// substep costs about the same as one RK4 substep but is exact at any
-// dt and — unlike RK4 — batches across lanes through the SpMM kernel),
-// the dense Φ kernel is SIMD-accelerated (a single fused pass beats
-// even one sparse RK4 substep), or dt is far enough past the stability
-// bound that RK4 must substep repeatedly while the exact update stays a
-// single application regardless of dt.
-func (t *Template) PreferExact(dt units.Seconds) bool {
-	if t.n > sparseCrossoverNodes {
-		return true
-	}
-	if float64(dt) > 2*t.hMax {
-		return true
-	}
-	return linalg.SIMDCapableRows(t.n)
-}
+// PreferExact reports whether the exact discretized step should be
+// used at step dt. Every template steps exactly at any dt — Model.Step
+// has no other path — so it always returns true.
+func (t *Template) PreferExact(units.Seconds) bool { return true }
 
-// UseExact switches the model's Step(dt) onto the exact discretized
-// update for exactly this dt; Step at any other size still runs RK4 on
-// the same state, so off-grid steps (warmup, odd remainders) fall back
-// transparently. The discretization comes from the template's memoized
-// cache and may be dense or sparse per the template size. Calling
-// UseExact again re-targets the fast path to the new dt.
+// UseExact arms the model's Step at exactly this dt, reporting a bad
+// dt as an error where Step would panic. The discretization comes from
+// the template's memoized cache and may be dense or sparse per the
+// template size. Arming again re-targets the model to the new dt on the
+// same state; Step does so itself when called at another dt. A model
+// adopted by a BatchModel cannot be armed: its state lives in the
+// batch's panels.
 func (m *Model) UseExact(dt units.Seconds) error {
+	if m.batched {
+		return fmt.Errorf("thermal: model is a BatchModel lane; advance it with BatchModel.Step")
+	}
 	d, err := m.Template.Discretization(dt)
 	if err != nil {
 		return err
@@ -267,9 +257,9 @@ func (m *Model) armDisc(d *Discretization) {
 // discretization's representation. Dense: T ← Φ·T + (Ψ·P + ψ_amb)
 // through the packed kernels, with the input term memoized in uCache
 // and recomputed only when SetPower has run since the last tick, so
-// constant-power stretches pay only the Φ pass. Zero allocations;
-// buffer padding rows stay zero because the packed operands' padding
-// rows are zero.
+// constant-power stretches pay only the Φ pass. Zero allocations.
+// Buffer entries past n are unspecified and never read: the Φ pass
+// reads only temps = xbuf[:n].
 //
 //mtlint:zeroalloc
 func (m *Model) stepExact(d *Discretization) {

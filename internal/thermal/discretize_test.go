@@ -35,10 +35,11 @@ func newExactModel(t *testing.T, dt units.Seconds) *Model {
 func TestExactMatchesRK4RandomSchedule(t *testing.T) {
 	const dt = paperTick
 	exact := newExactModel(t, dt)
-	ref, err := New(floorplan.CMP4(), DefaultParams())
+	refModel, err := New(floorplan.CMP4(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newRK4Ref(refModel)
 
 	rng := rand.New(rand.NewSource(42))
 	nb := exact.NumBlocks()
@@ -50,7 +51,7 @@ func TestExactMatchesRK4RandomSchedule(t *testing.T) {
 	if err := exact.InitSteadyState(warm); err != nil {
 		t.Fatal(err)
 	}
-	ref.SetNodeTemps(exact.NodeTemps())
+	refModel.SetNodeTemps(exact.NodeTemps())
 
 	const ticks = 2000
 	var worst float64
@@ -66,11 +67,11 @@ func TestExactMatchesRK4RandomSchedule(t *testing.T) {
 			}
 		}
 		exact.SetPower(watts)
-		ref.SetPower(watts)
+		refModel.SetPower(watts)
 		exact.Step(dt)
-		ref.Step(dt)
+		ref.step(float64(dt))
 		for i := 0; i < exact.NumNodes(); i++ {
-			if d := math.Abs(exact.temps[i] - ref.temps[i]); d > worst {
+			if d := math.Abs(exact.temps[i] - refModel.temps[i]); d > worst {
 				worst = d
 			}
 		}
@@ -86,10 +87,10 @@ func TestExactMatchesRK4RandomSchedule(t *testing.T) {
 // is unconditionally stable — until equilibrium, and checks the heat
 // flowing into the ambient equals the input power.
 func TestExactSteadyStateEnergyConservation(t *testing.T) {
-	const dt = 1.0 // ≈ 60× hMax: pure RK4 would need dozens of substeps
+	const dt = 1.0 // ≈ 60× the RK4 bound: RK4 would need dozens of substeps
 	m := newExactModel(t, dt)
-	if dt < 2*m.MaxStableStep() {
-		t.Fatalf("test premise broken: dt %g not past stability bound %g", dt, m.MaxStableStep())
+	if h := maxStableStep(m.Template); dt < 2*h {
+		t.Fatalf("test premise broken: dt %g not past stability bound %g", dt, h)
 	}
 	watts := make(units.PowerVec, m.NumBlocks())
 	var total float64
@@ -117,10 +118,10 @@ func TestExactSteadyStateEnergyConservation(t *testing.T) {
 	}
 }
 
-// TestExactOffGridFallsBackToRK4 checks that a Step at a dt other than
-// the armed one runs the RK4 path bit-identically to a model that never
-// armed the exact path.
-func TestExactOffGridFallsBackToRK4(t *testing.T) {
+// TestExactOffGridRearms checks that a Step at a dt other than the
+// armed one re-arms the model there, bit-identically to a model that
+// stepped at that dt from the start.
+func TestExactOffGridRearms(t *testing.T) {
 	exact := newExactModel(t, paperTick)
 	plain, err := New(floorplan.CMP4(), DefaultParams())
 	if err != nil {
@@ -137,6 +138,9 @@ func TestExactOffGridFallsBackToRK4(t *testing.T) {
 		exact.Step(off)
 		plain.Step(off)
 	}
+	if exact.disc.Dt() != off {
+		t.Fatalf("off-grid Step left the model armed at %g, want %g", exact.disc.Dt(), off)
+	}
 	for i := range plain.temps {
 		if exact.temps[i] != plain.temps[i] {
 			t.Fatalf("off-grid step diverged at node %d: %g vs %g",
@@ -145,15 +149,17 @@ func TestExactOffGridFallsBackToRK4(t *testing.T) {
 	}
 }
 
-// TestExactMixedGridSteps interleaves on-grid exact ticks with off-grid
-// RK4 remainders on shared state; the pair must land within the RK4
-// reference's own error of an all-RK4 model.
+// TestExactMixedGridSteps interleaves ticks at the armed dt with
+// off-grid remainders on shared state, re-arming back and forth; the
+// trajectory must land within the RK4 reference's own error of the
+// reference run on the same schedule.
 func TestExactMixedGridSteps(t *testing.T) {
 	exact := newExactModel(t, paperTick)
 	plain, err := New(floorplan.CMP4(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newRK4Ref(plain)
 	watts := make(units.PowerVec, exact.NumBlocks())
 	for i := range watts {
 		watts[i] = 5
@@ -162,10 +168,10 @@ func TestExactMixedGridSteps(t *testing.T) {
 	plain.SetPower(watts)
 	for s := 0; s < 200; s++ {
 		exact.Step(paperTick)
-		plain.Step(paperTick)
+		ref.step(float64(paperTick))
 		if s%10 == 0 {
 			exact.Step(paperTick / 3)
-			plain.Step(paperTick / 3)
+			ref.step(float64(paperTick / 3))
 		}
 	}
 	for i := range plain.temps {
@@ -208,10 +214,50 @@ func TestDiscretizationRejectsBadStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dt := range []units.Seconds{0, -1e-6} {
+	for _, dt := range []units.Seconds{0, -1e-6, units.Seconds(math.NaN()), units.Seconds(math.Inf(1))} {
 		if _, err := tpl.Discretization(dt); err == nil {
 			t.Fatalf("dt=%g accepted", dt)
 		}
+	}
+}
+
+// TestStepRejectsBadDt covers every entry point a step size reaches:
+// Step panics on a non-finite or non-positive dt and leaves the state
+// untouched, and UseExact and Discretization return errors.
+func TestStepRejectsBadDt(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dt   units.Seconds
+	}{
+		{"zero", 0},
+		{"negative", -1},
+		{"NaN", units.Seconds(math.NaN())},
+		{"+Inf", units.Seconds(math.Inf(1))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newExactModel(t, paperTick)
+			before := m.NodeTemps()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Step(%g) did not panic", tc.dt)
+					}
+				}()
+				m.Step(tc.dt)
+			}()
+			for i, v := range m.NodeTemps() {
+				if v != before[i] {
+					t.Fatalf("Step(%g) changed node %d: %g -> %g", tc.dt, i, before[i], v)
+				}
+			}
+			if err := m.UseExact(tc.dt); err == nil {
+				t.Errorf("UseExact(%g) accepted", tc.dt)
+			}
+			if _, err := m.Template.Discretization(tc.dt); err == nil {
+				t.Errorf("Discretization(%g) accepted", tc.dt)
+			}
+			m.Step(paperTick) // still armed and usable
+		})
 	}
 }
 

@@ -8,10 +8,10 @@
 //
 // Construction is split in two: an immutable Template holds everything
 // derived from (floorplan, Params) — node capacitances, the conductance
-// network in CSR form, and the explicit-integration stability bound —
-// and stamps out lightweight Models that add only mutable state
-// (temperatures, power inputs, integrator scratch). Templates are safe
-// to share across goroutines, so a parallel sweep builds the RC network
+// network in CSR form, and the memoized exact discretizations — and
+// stamps out lightweight Models that add only mutable state
+// (temperatures, power inputs, step buffers). Templates are safe to
+// share across goroutines, so a parallel sweep builds the RC network
 // once per configuration instead of once per run.
 //
 //mtlint:deterministic
@@ -127,11 +127,11 @@ type edge struct {
 }
 
 // Template is the immutable part of an assembled RC network: node
-// capacitances, the conductance graph (both as an edge list for dense
-// steady-state assembly and in CSR form for the transient kernel), and
-// the precomputed explicit-integration stability bound. A Template is
-// read-only after construction and may be shared freely across
-// goroutines; call NewModel to stamp out integrable instances.
+// capacitances and the conductance graph, both as an edge list for
+// dense assembly and in CSR form for the sparse operators. A Template
+// is read-only after construction (its discretization cache is safe
+// for concurrent use) and may be shared freely across goroutines; call
+// NewModel to stamp out integrable instances.
 //
 // Node order: die blocks first (same indices as the floorplan), then
 // spreader center, spreader N/E/S/W periphery, sink center, sink
@@ -147,29 +147,17 @@ type Template struct {
 	edges    []edge
 	gAmbient []float64 // conductance from node straight to ambient, W/K
 
-	// adjacency in CSR form for the transient kernel: neighbors of node
-	// i are colIdx[rowPtr[i]:rowPtr[i+1]] with conductances at the same
-	// positions in colG.
-	rowPtr  []int32
-	colIdx  []int32
-	colG    []float64
-	nbrIdx  [][]int32   // per-row views into colIdx
-	nbrG    [][]float64 // per-row views into colG
-	gTotal  []float64   // Σ_j G_ij + gAmbient_i per node
-	invCap  []float64   // 1/C_i, precomputed so the kernel multiplies instead of divides
-	ambFlow []float64   // gAmbient_i·T_amb, the constant inflow from the ambient
+	gTotal  []float64 // Σ_j G_ij + gAmbient_i per node
+	invCap  []float64 // 1/C_i, precomputed so the kernels multiply instead of divide
+	ambFlow []float64 // gAmbient_i·T_amb, the constant inflow from the ambient
 
-	// The same network in the sparse package's CSR form: gsp is the
+	// The network in the sparse package's CSR form: gsp is the
 	// conductance matrix G (for the CG steady-state solve) and asp is
 	// the transient generator A = −C⁻¹G (for the Krylov propagator).
 	// Built eagerly — assembly is O(nnz) — so sharing the template
 	// across goroutines never races on lazy construction.
 	gsp *sparse.CSR
 	asp *sparse.CSR
-
-	// hMax is the RK4 stability bound, invariant for the network and
-	// hoisted here at build time so Step need not rescan the graph.
-	hMax float64
 
 	// discCache memoizes exact ZOH discretizations keyed by dt; see
 	// Template.Discretization. Copy-on-write: a lookup on the sweep's
@@ -180,39 +168,26 @@ type Template struct {
 
 // Model is one integrable instance of a Template: the shared immutable
 // network plus per-run mutable state (temperatures, power inputs, and
-// RK4 scratch buffers). Models are cheap to create and must not be
-// shared across goroutines; stamp one per concurrent simulation.
+// step buffers). Models are cheap to create and must not be shared
+// across goroutines; stamp one per concurrent simulation.
 type Model struct {
 	*Template
 
-	// Hot template fields mirrored into the model (slice headers only —
-	// the backing arrays stay shared and immutable). The RK4 kernel runs
-	// millions of iterations per simulated second; reaching these through
-	// the embedded pointer would re-load the indirection in every loop
-	// the compiler cannot prove alias-free, so the stamp copies the
-	// headers and the kernel indexes them one dereference away, exactly
-	// as when they lived on the model itself.
-	n       int
-	nbrIdx  [][]int32   // per-row views into colIdx
-	nbrG    [][]float64 // per-row views into colG
-	gTotal  []float64
-	invCap  []float64
-	ambFlow []float64
-
 	temps []float64 // current state, °C
-	power []float64 // current die-block power, W (len nBlocks)
+	power []float64 // current die-block power, W (len n; package entries stay zero)
 
-	// scratch buffers for the fused RK4 kernel
-	acc, tmpA, tmpB []float64
-
-	// Exact-discretization fast path (nil disc = RK4 only). When armed
-	// via UseExact, temps aliases xbuf[:n] and each exact tick writes
-	// ybuf and swaps the two; uCache memoizes Ψ·P + ψ_amb until
+	// Exact discretization the model is armed at (nil until the first
+	// Step or UseExact). Dense: temps aliases xbuf[:n] and each tick
+	// writes ybuf and swaps the two; uCache memoizes Ψ·P + ψ_amb until
 	// SetPower invalidates it.
 	disc       *Discretization
 	xbuf, ybuf []float64
 	uCache     []float64
 	powerDirty bool
+
+	// batched is set once NewBatch adopts the model: its state lives in
+	// the batch's panels and only BatchModel.Step may advance it.
+	batched bool
 
 	// Sparse exact path (armed when disc.Sparse()): temps aliases
 	// zaug[:n] with the augmented entry zaug[n] pinned to 1; cvec
@@ -277,13 +252,13 @@ func NewTemplate(fp *floorplan.Floorplan, p Params) (*Template, error) {
 	// Per-position cooling from the floorplan: extra conductance
 	// straight to ambient on individual die blocks (e.g. the edge
 	// tiles of a generated many-core grid sitting under stronger
-	// airflow). Applied before indexEdges so gTotal, ambFlow, and the
-	// stability bound all see the boosted path.
+	// airflow). Applied before sumConductances so gTotal and ambFlow
+	// see the boosted path.
 	for i, b := range fp.Blocks {
 		t.gAmbient[i] += b.CoolingBoost
 	}
 
-	t.indexEdges()
+	t.sumConductances()
 	t.invCap = make([]float64, t.n)
 	t.ambFlow = make([]float64, t.n)
 	for i, c := range t.cap {
@@ -291,25 +266,25 @@ func NewTemplate(fp *floorplan.Floorplan, p Params) (*Template, error) {
 		t.ambFlow[i] = t.gAmbient[i] * float64(p.Ambient)
 	}
 	t.buildSparse()
-	t.hMax = t.computeMaxStableStep()
 	return t, nil
 }
 
 // buildSparse assembles the CSR forms of the conductance matrix and
-// the transient generator from the indexed adjacency. Row neighbor
-// order comes out column-sorted, which the structure probes rely on;
-// the kernels only need consistency.
+// the transient generator from the edge list. The builder sorts each
+// row by column, stably, so parallel edges between one pair of nodes
+// sum in edge-list order.
 func (t *Template) buildSparse() {
 	gb := sparse.NewBuilder(t.n, t.n)
 	ab := sparse.NewBuilder(t.n, t.n)
 	for i := 0; i < t.n; i++ {
 		gb.Add(i, i, t.gTotal[i])
 		ab.Add(i, i, -t.gTotal[i]*t.invCap[i])
-		for k, j := range t.nbrIdx[i] {
-			g := t.nbrG[i][k]
-			gb.Add(i, int(j), -g)
-			ab.Add(i, int(j), g*t.invCap[i])
-		}
+	}
+	for _, e := range t.edges {
+		gb.Add(e.a, e.b, -e.g)
+		gb.Add(e.b, e.a, -e.g)
+		ab.Add(e.a, e.b, e.g*t.invCap[e.a])
+		ab.Add(e.b, e.a, e.g*t.invCap[e.b])
 	}
 	t.gsp = gb.Build()
 	t.asp = ab.Build()
@@ -340,19 +315,10 @@ func TemplateFor(fp *floorplan.Floorplan, p Params) (*Template, error) {
 func (t *Template) NewModel() *Model {
 	m := &Model{
 		Template: t,
-		n:        t.n,
-		nbrIdx:   t.nbrIdx,
-		nbrG:     t.nbrG,
-		gTotal:   t.gTotal,
-		invCap:   t.invCap,
-		ambFlow:  t.ambFlow,
 		temps:    make([]float64, t.n),
-		// power spans all nodes (package entries stay zero) so the RK4
-		// stages add it unconditionally in one branch-free loop.
+		// power spans all nodes (package entries stay zero) so the sparse
+		// constant term adds it unconditionally in one branch-free loop.
 		power: make([]float64, t.n),
-		acc:   make([]float64, t.n),
-		tmpA:  make([]float64, t.n),
-		tmpB:  make([]float64, t.n),
 	}
 	for i := range m.temps {
 		m.temps[i] = float64(t.params.Ambient)
@@ -471,47 +437,18 @@ func (t *Template) buildSink() {
 	}
 }
 
-// indexEdges flattens the edge list into the CSR adjacency used by the
-// transient kernel, and validates conductance positivity. Neighbor
-// order within a row matches edge-list order, keeping the floating
-// point summation order of the kernel stable across builds.
-func (t *Template) indexEdges() {
+// sumConductances validates conductance positivity and accumulates
+// each node's total conductance: its edges in edge-list order, then
+// its direct path to ambient.
+func (t *Template) sumConductances() {
 	t.gTotal = make([]float64, t.n)
-	counts := make([]int32, t.n)
 	for _, e := range t.edges {
 		if e.g <= 0 || math.IsNaN(e.g) || math.IsInf(e.g, 0) {
 			panic(fmt.Sprintf("thermal: bad conductance %g between %s and %s",
 				e.g, t.names[e.a], t.names[e.b]))
 		}
-		counts[e.a]++
-		counts[e.b]++
 		t.gTotal[e.a] += e.g
 		t.gTotal[e.b] += e.g
-	}
-	t.rowPtr = make([]int32, t.n+1)
-	for i := 0; i < t.n; i++ {
-		t.rowPtr[i+1] = t.rowPtr[i] + counts[i]
-	}
-	nnz := t.rowPtr[t.n]
-	t.colIdx = make([]int32, nnz)
-	t.colG = make([]float64, nnz)
-	next := make([]int32, t.n)
-	copy(next, t.rowPtr[:t.n])
-	put := func(row, col int, g float64) {
-		k := next[row]
-		t.colIdx[k] = int32(col)
-		t.colG[k] = g
-		next[row] = k + 1
-	}
-	for _, e := range t.edges {
-		put(e.a, e.b, e.g)
-		put(e.b, e.a, e.g)
-	}
-	t.nbrIdx = make([][]int32, t.n)
-	t.nbrG = make([][]float64, t.n)
-	for i := 0; i < t.n; i++ {
-		t.nbrIdx[i] = t.colIdx[t.rowPtr[i]:t.rowPtr[i+1]]
-		t.nbrG[i] = t.colG[t.rowPtr[i]:t.rowPtr[i+1]]
 	}
 	for i := range t.gAmbient {
 		t.gTotal[i] += t.gAmbient[i]
@@ -591,17 +528,6 @@ func (m *Model) SetUniform(t units.Celsius) {
 	for i := range m.temps {
 		m.temps[i] = float64(t)
 	}
-}
-
-// TotalCapacitance returns Σ C_i, used by energy-conservation tests.
-//
-//mtlint:allow unit thermal capacitance is J/K, not plain Joules
-func (t *Template) TotalCapacitance() float64 {
-	var s float64
-	for _, c := range t.cap {
-		s += c
-	}
-	return s
 }
 
 // ConductanceMatrix assembles the dense symmetric conductance matrix G

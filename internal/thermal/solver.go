@@ -2,155 +2,39 @@ package thermal
 
 import (
 	"fmt"
-	"math"
 
 	"multitherm/internal/units"
 )
 
-// derivs computes dT/dt into out given node temperatures t:
-//
-//	C_i·dT_i/dt = P_i + Σ_j g_ij·(T_j − T_i) + gAmb_i·(T_amb − T_i)
-//
-// It uses the same CSR walk and summation order as the fused RK4
-// stages below, so it can serve as their reference in tests.
-func (m *Model) derivs(t []float64, out []float64) {
-	for i := 0; i < m.n; i++ {
-		flow := m.power[i] + m.ambFlow[i] - m.gTotal[i]*t[i]
-		idx := m.nbrIdx[i]
-		gs := m.nbrG[i]
-		for k, j := range idx {
-			flow += gs[k] * t[j]
-		}
-		out[i] = flow * m.invCap[i]
-	}
-}
-
-// computeMaxStableStep derives a conservative upper bound on the
-// explicit integration step: the classical RK4 stability limit is
-// ~2.78/λ for the fastest eigenvalue λ; we bound λ by max_i (ΣG_i/C_i)
-// and keep a 2× margin. The bound depends only on the network, so the
-// template computes it once at build time.
-func (t *Template) computeMaxStableStep() float64 {
-	maxRate := 0.0
-	for i := 0; i < t.n; i++ {
-		if r := t.gTotal[i] / t.cap[i]; r > maxRate {
-			maxRate = r
-		}
-	}
-	if maxRate == 0 { //mtlint:allow floatcmp exact zero rate means an unconnected network
-		return math.Inf(1)
-	}
-	return 1.39 / maxRate
-}
-
-// MaxStableStep returns the precomputed RK4 stability bound.
-func (t *Template) MaxStableStep() units.Seconds { return units.Seconds(t.hMax) }
-
-// Step advances the transient solution by dt seconds. If UseExact has
-// armed the exact ZOH discretization for this dt, the step is a single
-// application of T ← Φ·T + Ψ·u with no truncation error; any other dt
-// falls back to classical RK4, internally substepping if dt exceeds the
-// stability bound. Power inputs are held constant across the step (the
-// simulator changes them only at trace-sample boundaries, every 28 µs).
+// Step advances the transient solution by dt seconds through the
+// template's exact ZOH discretization at dt: a single application of
+// T ← Φ·T + Ψ·u with no truncation error and no stability limit, with
+// power inputs held constant across the step (the simulator changes
+// them only at trace-sample boundaries, every 28 µs). The first Step at
+// a new dt arms the model there (see UseExact); later steps at the same
+// dt reuse it. dt must be finite and positive, and a model adopted by a
+// BatchModel must be advanced through the batch instead.
 //
 //mtlint:zeroalloc
 func (m *Model) Step(dt units.Seconds) {
-	h := float64(dt)
-	if h <= 0 {
-		badStepSize(h)
-	}
-	if d := m.disc; d != nil && d.dt == h { //mtlint:allow floatcmp the exact path is armed for bit-exactly this dt (both sides the same raw seconds value)
+	if d := m.disc; d != nil && d.dt == float64(dt) { //mtlint:allow floatcmp the exact path is armed for bit-exactly this dt (both sides the same raw seconds value)
 		m.stepExact(d)
 		return
 	}
-	steps := 1
-	if h > m.hMax {
-		steps = int(math.Ceil(h / m.hMax))
-	}
-	h /= float64(steps)
-	for s := 0; s < steps; s++ {
-		m.rk4(h)
-	}
+	m.rearm(dt)
+	m.stepExact(m.disc)
 }
 
-// badStepSize formats the Step argument panic off the hot path:
-// fmt.Sprintf's interface conversion is a heap allocation that must not
-// appear inside the zeroalloc-marked step body.
+// rearm arms the model at a step size it is not armed for, off the hot
+// path: building or fetching the discretization allocates, and so does
+// formatting a panic, and neither may appear inside the zeroalloc-marked
+// step body. Step has no error return, so a bad dt or a batch-owned
+// lane panics here.
 //
 //go:noinline
-func badStepSize(dt float64) {
-	panic(fmt.Sprintf("thermal: non-positive step %g", dt))
-}
-
-// rk4 performs one classical RK4 step of size h with each derivative
-// evaluation fused into its state update: every stage walks the
-// adjacency once, accumulating the weighted k-sum and producing the
-// next stage input in the same pass.
-//
-//mtlint:zeroalloc
-func (m *Model) rk4(h float64) {
-	t := m.temps
-	acc, ta, tb := m.acc, m.tmpA, m.tmpB
-	m.firstStage(t, ta, acc, 0.5*h) // k1
-	m.stage(ta, tb, acc, 0.5*h, 2)  // k2
-	m.stage(tb, ta, acc, h, 2)      // k3
-	m.finalStage(ta, acc, h)        // k4 + state update
-}
-
-// firstStage computes k1 = f(src), seeds acc = k1, and writes
-// dst = temps + hk·k1, saving the separate zeroing pass.
-//
-//mtlint:zeroalloc
-func (m *Model) firstStage(src, dst, acc []float64, hk float64) {
-	t := m.temps
-	for i := 0; i < m.n; i++ {
-		flow := m.power[i] + m.ambFlow[i] - m.gTotal[i]*src[i]
-		idx := m.nbrIdx[i]
-		gs := m.nbrG[i]
-		for k, j := range idx {
-			flow += gs[k] * src[j]
-		}
-		kv := flow * m.invCap[i]
-		acc[i] = kv
-		dst[i] = t[i] + hk*kv
-	}
-}
-
-// stage computes k = f(src), accumulates accW·k into acc, and writes
-// dst = temps + hk·k in one pass.
-//
-//mtlint:zeroalloc
-func (m *Model) stage(src, dst, acc []float64, hk, accW float64) {
-	t := m.temps
-	for i := 0; i < m.n; i++ {
-		flow := m.power[i] + m.ambFlow[i] - m.gTotal[i]*src[i]
-		idx := m.nbrIdx[i]
-		gs := m.nbrG[i]
-		for k, j := range idx {
-			flow += gs[k] * src[j]
-		}
-		kv := flow * m.invCap[i]
-		acc[i] += accW * kv
-		dst[i] = t[i] + hk*kv
-	}
-}
-
-// finalStage computes k4 = f(src) and applies the combined update
-// temps += h/6·(acc + k4) in the same pass.
-//
-//mtlint:zeroalloc
-func (m *Model) finalStage(src, acc []float64, h float64) {
-	t := m.temps
-	w := h / 6
-	for i := 0; i < m.n; i++ {
-		flow := m.power[i] + m.ambFlow[i] - m.gTotal[i]*src[i]
-		idx := m.nbrIdx[i]
-		gs := m.nbrG[i]
-		for k, j := range idx {
-			flow += gs[k] * src[j]
-		}
-		kv := flow * m.invCap[i]
-		t[i] += w * (acc[i] + kv)
+func (m *Model) rearm(dt units.Seconds) {
+	if err := m.UseExact(dt); err != nil {
+		panic(err.Error())
 	}
 }
 

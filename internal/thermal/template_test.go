@@ -78,7 +78,7 @@ func TestModelsShareTemplateNotState(t *testing.T) {
 	if hot.Template != cold.Template {
 		t.Fatal("models from one template must share it")
 	}
-	g0 := append([]float64(nil), tpl.colG...)
+	g0 := append([]float64(nil), tpl.gTotal...)
 	p := make(units.PowerVec, hot.NumBlocks())
 	for i := range p {
 		p[i] = 8
@@ -94,7 +94,7 @@ func TestModelsShareTemplateNotState(t *testing.T) {
 		}
 	}
 	for k := range g0 {
-		if tpl.colG[k] != g0[k] {
+		if tpl.gTotal[k] != g0[k] {
 			t.Fatalf("template conductance %d mutated by stepping a model", k)
 		}
 	}
@@ -103,9 +103,10 @@ func TestModelsShareTemplateNotState(t *testing.T) {
 	}
 }
 
-// TestDerivsMatchesConductanceMatrix checks the CSR kernel against an
-// independent dense evaluation C·dT/dt = P + gAmb·T_amb − G·T built
-// from the edge list.
+// TestDerivsMatchesConductanceMatrix checks the reference integrator's
+// derivatives, taken from the template's sparse conductance matrix,
+// against an independent dense evaluation C·dT/dt = P + gAmb·T_amb − G·T
+// built from the edge list.
 func TestDerivsMatchesConductanceMatrix(t *testing.T) {
 	m := newCMP4Model(t)
 	p := make(units.PowerVec, m.NumBlocks())
@@ -122,7 +123,7 @@ func TestDerivsMatchesConductanceMatrix(t *testing.T) {
 	g := m.ConductanceMatrix()
 	amb := float64(m.Params().Ambient)
 	got := make([]float64, m.NumNodes())
-	m.derivs(m.temps, got)
+	newRK4Ref(m).derivs(m.temps, got)
 	for i := 0; i < m.NumNodes(); i++ {
 		var sum float64
 		for j := 0; j < m.NumNodes(); j++ {
@@ -139,19 +140,20 @@ func TestDerivsMatchesConductanceMatrix(t *testing.T) {
 	}
 }
 
-// TestStepMatchesTextbookRK4 locks the fused kernel to the classical
-// k1/k2/k3/k4 formulation evaluated with the same derivative function.
+// TestStepMatchesTextbookRK4 locks the reference integrator's
+// accumulated stages to the classical k1/k2/k3/k4 formulation evaluated
+// with the same derivative function.
 func TestStepMatchesTextbookRK4(t *testing.T) {
-	fused := newCMP4Model(t)
-	ref := newCMP4Model(t)
-	p := make(units.PowerVec, fused.NumBlocks())
+	fused := newRK4Ref(newCMP4Model(t))
+	ref := newRK4Ref(newCMP4Model(t))
+	p := make(units.PowerVec, fused.m.NumBlocks())
 	for i := range p {
 		p[i] = 2 + float64(i%3)
 	}
-	fused.SetPower(p)
-	ref.SetPower(p)
+	fused.m.SetPower(p)
+	ref.m.SetPower(p)
 
-	n := ref.NumNodes()
+	n := ref.m.NumNodes()
 	k1 := make([]float64, n)
 	k2 := make([]float64, n)
 	k3 := make([]float64, n)
@@ -159,9 +161,9 @@ func TestStepMatchesTextbookRK4(t *testing.T) {
 	tmp := make([]float64, n)
 	const h = 20e-6
 	for step := 0; step < 500; step++ {
-		fused.Step(h)
+		fused.step(h)
 
-		tv := ref.temps
+		tv := ref.m.temps
 		ref.derivs(tv, k1)
 		for i := range tmp {
 			tmp[i] = tv[i] + 0.5*h*k1[i]
@@ -180,50 +182,48 @@ func TestStepMatchesTextbookRK4(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if diff := math.Abs(fused.temps[i] - ref.temps[i]); diff > 1e-9 {
-			t.Fatalf("node %d: fused=%v textbook=%v (diff %g)", i, fused.temps[i], ref.temps[i], diff)
+		if diff := math.Abs(fused.m.temps[i] - ref.m.temps[i]); diff > 1e-9 {
+			t.Fatalf("node %d: fused=%v textbook=%v (diff %g)", i, fused.m.temps[i], ref.m.temps[i], diff)
 		}
 	}
 }
 
-// TestStepSubstepsAcrossStabilityBound is the regression test for
-// hoisting the stability bound to build time: a step larger than hMax
-// must substep and land exactly where manual substepping lands.
+// TestStepSubstepsAcrossStabilityBound checks the reference
+// integrator's substepping: a step larger than the stability bound must
+// substep and land exactly where manual substepping lands.
 func TestStepSubstepsAcrossStabilityBound(t *testing.T) {
-	a := newCMP4Model(t)
-	b := newCMP4Model(t)
-	if got, want := float64(a.MaxStableStep()), a.computeMaxStableStep(); got != want {
-		t.Fatalf("hoisted bound %g != freshly computed %g", got, want)
-	}
-	p := make(units.PowerVec, a.NumBlocks())
+	a := newRK4Ref(newCMP4Model(t))
+	b := newRK4Ref(newCMP4Model(t))
+	p := make(units.PowerVec, a.m.NumBlocks())
 	for i := range p {
 		p[i] = 4
 	}
-	a.SetPower(p)
-	b.SetPower(p)
+	a.m.SetPower(p)
+	b.m.SetPower(p)
 
-	dt := 2.5 * float64(a.MaxStableStep()) // forces ceil(2.5) = 3 substeps
-	a.Step(units.Seconds(dt))
-	steps := int(math.Ceil(dt / float64(b.MaxStableStep())))
+	dt := 2.5 * a.hMax // forces ceil(2.5) = 3 substeps
+	a.step(dt)
+	steps := int(math.Ceil(dt / b.hMax))
 	h := dt / float64(steps)
 	for s := 0; s < steps; s++ {
 		b.rk4(h)
 	}
-	for i := 0; i < a.NumNodes(); i++ {
-		if a.temps[i] != b.temps[i] {
-			t.Fatalf("node %d: Step=%v manual=%v", i, a.temps[i], b.temps[i])
+	for i := 0; i < a.m.NumNodes(); i++ {
+		if a.m.temps[i] != b.m.temps[i] {
+			t.Fatalf("node %d: step=%v manual=%v", i, a.m.temps[i], b.m.temps[i])
 		}
 	}
 	// And the result must be finite/sane: a 4 W/block pulse for ~40 ms
 	// warms the die but cannot exceed a loose physical ceiling.
-	hi, _ := a.MaxBlockTemp()
+	hi, _ := a.m.MaxBlockTemp()
 	if math.IsNaN(float64(hi)) || hi > 200 {
 		t.Fatalf("substepped solution diverged: max %g", float64(hi))
 	}
 }
 
-// TestStepZeroAllocs pins the zero-allocation contract of the fused
-// transient kernel.
+// TestStepZeroAllocs pins the zero-allocation contract of Step,
+// including the first call, which arms the model (AllocsPerRun's
+// warm-up run absorbs that one-time cost).
 func TestStepZeroAllocs(t *testing.T) {
 	m := newCMP4Model(t)
 	p := make(units.PowerVec, m.NumBlocks())

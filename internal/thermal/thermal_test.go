@@ -178,7 +178,7 @@ func TestTransientApproachesNewSteadyState(t *testing.T) {
 	m.SetPower(power)
 	// Die-level transients settle in tens of ms, but the heat sink's
 	// time constant is minutes, so run ~1000 s of sim time with coarse
-	// external steps; internal substepping handles stability.
+	// steps; the exact step has no stability limit.
 	for i := 0; i < 50000; i++ {
 		m.Step(20e-3)
 	}
@@ -245,9 +245,9 @@ func TestStepCoolsWithoutPower(t *testing.T) {
 
 func TestMaxStableStepPositive(t *testing.T) {
 	m := newCMP4Model(t)
-	h := m.MaxStableStep()
-	if h <= 0 || math.IsInf(float64(h), 1) {
-		t.Fatalf("MaxStableStep = %v", h)
+	h := maxStableStep(m.Template)
+	if h <= 0 || math.IsInf(h, 1) {
+		t.Fatalf("maxStableStep = %v", h)
 	}
 	// The 28 µs control period should not require absurd substepping.
 	if h < 1e-6 {

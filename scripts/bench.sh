@@ -1,19 +1,15 @@
 #!/bin/sh
-# bench.sh — benchmark the thermal kernel and the parallel sweep engine,
+# bench.sh — benchmark the thermal step and the parallel sweep engine,
 # emitting a machine-readable summary to BENCH_sweep.json.
 #
 # Usage: scripts/bench.sh [output.json]
 #
 # Measures:
-#   - kernel_ns_per_op: BenchmarkThermalStep (one 28 us transient step of
-#     the 55-node CMP4 RC network, RK4 with substeps)
-#   - kernel_flat_ns_per_op: BenchmarkThermalStepFlat (single RK4 step at
-#     the stability bound, no substep loop)
-#   - kernel_expm_ns_per_op: BenchmarkThermalStepExpm (exact ZOH step
-#     through the packed propagator, constant power)
+#   - kernel_expm_ns_per_op: BenchmarkThermalStepExpm (one 28 us exact
+#     ZOH step of the 55-node CMP4 RC network through the packed
+#     propagator, constant power)
 #   - kernel_expm_dirty_ns_per_op: BenchmarkThermalStepExpmDirty (same
 #     with per-tick SetPower, the simulator's leakage-feedback pattern)
-#   - kernel_expm_speedup: RK4 step time / exact step time
 #   - kernel_batch_ns_per_lane: BenchmarkThermalStepBatch8 per-lane cost
 #     (eight models stepped in lockstep through one shared propagator)
 #   - batch_speedup: dirty exact step time / batched per-lane step time
@@ -86,11 +82,8 @@ echo "building..." >&2
 go build ./...
 
 echo "kernel benchmarks (min of 3 x 200k iterations)..." >&2
-step_ns=$(bench_ns BenchmarkThermalStep)
-flat_ns=$(bench_ns BenchmarkThermalStepFlat)
 expm_ns=$(bench_ns BenchmarkThermalStepExpm)
 expm_dirty_ns=$(bench_ns BenchmarkThermalStepExpmDirty)
-expm_speedup=$(awk -v a="$step_ns" -v b="$expm_ns" 'BEGIN { printf "%.2f", (b > 0 ? a / b : 0) }')
 # BenchmarkThermalStepBatch8 steps eight lanes per op; per-lane cost is
 # ns/op divided by the batch width.
 batch8_ns=$(bench_ns BenchmarkThermalStepBatch8)
@@ -144,11 +137,8 @@ cat >"$out" <<EOF
 {
   "gomaxprocs": ${ncpu},
   "workers": ${ncpu},
-  "kernel_ns_per_op": ${step_ns},
-  "kernel_flat_ns_per_op": ${flat_ns},
   "kernel_expm_ns_per_op": ${expm_ns},
   "kernel_expm_dirty_ns_per_op": ${expm_dirty_ns},
-  "kernel_expm_speedup": ${expm_speedup},
   "kernel_batch_ns_per_lane": ${batch_lane_ns},
   "batch_speedup": ${batch_speedup},
   "sweep_n4_step_ns": ${n4_ns},
