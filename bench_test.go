@@ -200,6 +200,63 @@ func BenchmarkGridStepN16(b *testing.B)  { benchGridStep(b, 4, 4) }
 func BenchmarkGridStepN64(b *testing.B)  { benchGridStep(b, 8, 8) }
 func BenchmarkGridStepN256(b *testing.B) { benchGridStep(b, 16, 16) }
 
+// benchGridTick measures one whole control tick of a timeshared run on
+// a generated Rows x Cols grid, set up as the many-core experiment sets
+// it up (fitted thermal params, per-class frequency caps, 3:2 process
+// oversubscription) under distributed DVFS with sensor migration:
+// throttling, rotation, migration, activity fill, power and the
+// thermal step. Set-up runs untimed and a warm-up run fills the trace,
+// template and warmup caches first, so ns/op is the tick alone.
+// bench.sh fits ln(ns) against ln(cores) into tick_cost_exponent, next
+// to the thermal step's step_cost_exponent: with every per-core loop
+// indexed, the tick outside the thermal solve is O(cores).
+func benchGridTick(b *testing.B, rows, cols int) {
+	b.StopTimer()
+	spec := floorplan.GridSpec{
+		Rows: rows, Cols: cols,
+		Pattern: floorplan.PatternMixedRows,
+		Cooling: floorplan.CoolingEdgeBoost,
+	}
+	fp, err := floorplan.Grid(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Floorplan = fp
+	cfg.Thermal = thermal.FitParams(fp)
+	for _, s := range floorplan.GridCoreScales(spec) {
+		cfg.CoreMaxScale = append(cfg.CoreMaxScale, units.ScaleFactor(s))
+	}
+	pool := workload.Benchmarks()
+	procs := make([]string, rows*cols*3/2)
+	for i := range procs {
+		procs[i] = pool[i%len(pool)]
+	}
+	policy := core.PolicySpec{Mechanism: core.DVFS, Scope: core.Distributed, Migration: core.SensorMigration}
+	runner := func(ticks int) *sim.Runner {
+		c := cfg
+		c.SimTime = units.Seconds(ticks) * c.Policy.SamplePeriod
+		r, err := sim.NewTimeshared(c, fp.Name, procs, policy, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r
+	}
+	if _, err := runner(1).Run(); err != nil {
+		b.Fatal(err)
+	}
+	r := runner(b.N)
+	b.StartTimer()
+	if _, err := r.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkGridTickN4(b *testing.B)   { benchGridTick(b, 2, 2) }
+func BenchmarkGridTickN16(b *testing.B)  { benchGridTick(b, 4, 4) }
+func BenchmarkGridTickN64(b *testing.B)  { benchGridTick(b, 8, 8) }
+func BenchmarkGridTickN256(b *testing.B) { benchGridTick(b, 16, 16) }
+
 // benchSweepWorkers runs a fixed specs×workloads study through the
 // work-stealing scheduler at the given worker count; compare ns/op
 // across BenchmarkSweepWorkers{1,2,4,8} to see the scaling curve of

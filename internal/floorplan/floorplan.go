@@ -8,7 +8,6 @@ package floorplan
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // UnitKind classifies a block by microarchitectural function. The DTM
@@ -111,19 +110,6 @@ func (f *Floorplan) BlockIndex(name string) int {
 	return -1
 }
 
-// CoreBlocks returns the indices of all blocks owned by the given core,
-// sorted by name for determinism.
-func (f *Floorplan) CoreBlocks(core int) []int {
-	var out []int
-	for i, b := range f.Blocks {
-		if b.Core == core {
-			out = append(out, i)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return f.Blocks[out[i]].Name < f.Blocks[out[j]].Name })
-	return out
-}
-
 // FindCoreBlock returns the index of core's block of the given kind, or
 // -1 if the core has none.
 func (f *Floorplan) FindCoreBlock(core int, kind UnitKind) int {
@@ -185,7 +171,8 @@ func (f *Floorplan) Adjacencies() []Adjacency {
 }
 
 // Validate checks structural soundness: non-empty, positive dimensions,
-// unique names, blocks within chip bounds, and no overlapping blocks.
+// unique names, core ids that are SharedCore or in [0, NumCores()),
+// blocks within chip bounds, and no overlapping blocks.
 func (f *Floorplan) Validate() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("floorplan %q: no blocks", f.Name)
@@ -212,6 +199,9 @@ func (f *Floorplan) Validate() error {
 			b.X+b.W > f.ChipW+geomEps || b.Y+b.H > f.ChipH+geomEps {
 			return fmt.Errorf("floorplan %q: block %q exceeds chip bounds", f.Name, b.Name)
 		}
+	}
+	if err := f.checkCoreIDs(); err != nil {
+		return err
 	}
 	for i := range f.Blocks {
 		for j := i + 1; j < len(f.Blocks); j++ {

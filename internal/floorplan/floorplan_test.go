@@ -65,17 +65,100 @@ func TestFindCoreBlockMissing(t *testing.T) {
 
 func TestCoreBlocksCount(t *testing.T) {
 	f := CMP4()
+	idx, err := f.Cores()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.NumCores() != 4 {
+		t.Fatalf("index covers %d cores, want 4", idx.NumCores())
+	}
 	for core := 0; core < 4; core++ {
-		if got := len(f.CoreBlocks(core)); got != 11 {
+		if got := len(idx.Core(core)); got != 11 {
 			t.Errorf("core %d has %d blocks, want 11", core, got)
 		}
 	}
 	// Shared L2 belongs to no core.
 	for core := 0; core < 4; core++ {
-		for _, i := range f.CoreBlocks(core) {
+		for _, i := range idx.Core(core) {
 			if f.Blocks[i].Kind == KindL2 {
 				t.Error("L2 attributed to a core")
 			}
+		}
+	}
+	if sh := idx.Shared(); len(sh) != 1 || f.Blocks[sh[0]].Kind != KindL2 {
+		t.Errorf("shared blocks = %v, want the L2 alone", sh)
+	}
+}
+
+// TestCoreIndexPartitionsBlocks checks the index on every built-in
+// layout: each block appears exactly once, under its own core or the
+// shared list, in floorplan order, and repeated calls share one index.
+func TestCoreIndexPartitionsBlocks(t *testing.T) {
+	grid, err := Grid(GridSpec{Rows: 3, Cols: 4, Pattern: PatternCheckerboard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Floorplan{CMP4(), Banias(), grid} {
+		idx, err := f.Cores()
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if again, _ := f.Cores(); again != idx {
+			t.Errorf("%s: Cores rebuilt the index", f.Name)
+		}
+		if idx.NumCores() != f.NumCores() {
+			t.Errorf("%s: index covers %d cores, NumCores %d", f.Name, idx.NumCores(), f.NumCores())
+		}
+		seen := make([]int, len(f.Blocks))
+		check := func(owner int, ids []int32) {
+			for k, i := range ids {
+				if f.Blocks[i].Core != owner {
+					t.Errorf("%s: block %s (core %d) listed under %d", f.Name, f.Blocks[i].Name, f.Blocks[i].Core, owner)
+				}
+				if k > 0 && ids[k-1] >= i {
+					t.Errorf("%s: core %d's blocks out of floorplan order: %v", f.Name, owner, ids)
+				}
+				seen[i]++
+			}
+		}
+		for c := 0; c < idx.NumCores(); c++ {
+			check(c, idx.Core(c))
+		}
+		check(SharedCore, idx.Shared())
+		for i, n := range seen {
+			if n != 1 {
+				t.Errorf("%s: block %s indexed %d times", f.Name, f.Blocks[i].Name, n)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsImpossibleCoreIDs: per-core tables are indexed by
+// core id, so ids must be exactly 0..NumCores()-1 plus SharedCore.
+func TestValidateRejectsImpossibleCoreIDs(t *testing.T) {
+	for _, tc := range []struct {
+		cores []int
+		ok    bool
+	}{
+		{[]int{0, 1}, true},
+		{[]int{1, 0}, true},
+		{[]int{0, SharedCore}, true},
+		{[]int{SharedCore, SharedCore}, true},
+		{[]int{0, 2}, false},          // gap: NumCores 2, id 2 out of range
+		{[]int{0, -2}, false},         // negative id that is not SharedCore
+		{[]int{1, 1}, false},          // NumCores 1, so id 1 is out of range
+		{[]int{SharedCore, 1}, false}, // lone core must be core 0
+	} {
+		f := &Floorplan{Name: "ids", ChipW: 2 * mm, ChipH: 1 * mm, Blocks: []Block{
+			{Name: "a", Core: tc.cores[0], X: 0, Y: 0, W: 1 * mm, H: 1 * mm},
+			{Name: "b", Core: tc.cores[1], X: 1 * mm, Y: 0, W: 1 * mm, H: 1 * mm},
+		}}
+		err := f.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("cores %v: Validate err = %v, want ok=%t", tc.cores, err, tc.ok)
+		}
+		if _, ierr := f.Cores(); (ierr == nil) != tc.ok {
+			t.Errorf("cores %v: Cores err = %v, want ok=%t", tc.cores, ierr, tc.ok)
 		}
 	}
 }

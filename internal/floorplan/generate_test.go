@@ -97,8 +97,12 @@ func TestGridCoolingPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := func(fp *Floorplan, core int) float64 {
+		idx, err := fp.Cores()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var s float64
-		for _, bi := range fp.CoreBlocks(core) {
+		for _, bi := range idx.Core(core) {
 			s += fp.Blocks[bi].CoolingBoost
 		}
 		return s

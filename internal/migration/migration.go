@@ -32,7 +32,7 @@ type Context struct {
 	BlockTemps units.TempVec // die-block temperatures
 	Throttler  core.Throttler
 	FP         *floorplan.Floorplan
-	Bank       *sensor.Bank // chip hotspot sensor bank
+	Bank       *sensor.Bank // chip hotspot sensor bank, built by sensor.NewBank
 
 	// DynScale is the dynamic-power scaling relation (cubic in the
 	// paper) used to rescale observations taken at reduced frequency
@@ -77,14 +77,12 @@ func readHotspots(ctx *Context) []coreHotspot {
 }
 
 // readCoreRegFiles reads the two register-file sensors of a core
-// straight off the shared bank — the per-tick path filters in place
-// rather than allocating a ForCore sub-bank.
+// straight off the shared bank through its per-core index, so a
+// decision reads each sensor once rather than scanning the bank per
+// core.
 func readCoreRegFiles(ctx *Context, core int) (tInt, tFP float64) {
-	for i := range ctx.Bank.Sensors {
+	for _, i := range ctx.Bank.CoreSensors(core) {
 		s := &ctx.Bank.Sensors[i]
-		if s.Core != core {
-			continue
-		}
 		v := float64(s.Read(ctx.BlockTemps, ctx.Tick))
 		switch ctx.FP.Blocks[s.Block].Kind {
 		case floorplan.KindIntRegFile:

@@ -162,6 +162,7 @@ func (c Config) LeakageScale(tempC units.Celsius, s units.ScaleFactor) float64 {
 type Calculator struct {
 	cfg     Config
 	fp      *floorplan.Floorplan
+	cores   *floorplan.CoreIndex
 	maxDyn  []float64 // W at activity 1, full V/f, per block
 	leak0   []float64 // W at T0, VMax, per block
 	leakSum float64
@@ -172,7 +173,11 @@ func NewCalculator(fp *floorplan.Floorplan, cfg Config) (*Calculator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Calculator{cfg: cfg, fp: fp}
+	cores, err := fp.Cores()
+	if err != nil {
+		return nil, err
+	}
+	c := &Calculator{cfg: cfg, fp: fp, cores: cores}
 	c.maxDyn = make([]float64, len(fp.Blocks))
 	c.leak0 = make([]float64, len(fp.Blocks))
 	for i, b := range fp.Blocks {
@@ -211,6 +216,12 @@ type CoreState struct {
 //   - temps: per-block temperatures for leakage feedback.
 //
 // dst may be nil. The returned slice has one entry per block.
+//
+// Blocks are assembled core by core through the floorplan's core
+// index, so the V/f factors — DynamicScale and the leakage voltage
+// term — are evaluated once per core rather than once per block. Each
+// block keeps its own expression and operation order, so the result is
+// bit-identical to evaluating DynamicScale and LeakageScale per block.
 func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []CoreState, temps units.TempVec) units.PowerVec {
 	nb := len(c.fp.Blocks)
 	if len(activity) != nb || len(temps) != nb {
@@ -226,22 +237,37 @@ func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []
 			break
 		}
 	}
-	for i, b := range c.fp.Blocks {
-		scale, stalled := units.ScaleFactor(1), allStalled
-		if b.Core != floorplan.SharedCore && b.Core < len(cores) {
-			scale = cores[b.Core].Scale
-			stalled = cores[b.Core].Stalled
+	for k := 0; k < c.cores.NumCores(); k++ {
+		// A core past the end of cores runs like a shared block.
+		cs := CoreState{Scale: 1, Stalled: allStalled}
+		if k < len(cores) {
+			cs = cores[k]
 		}
-		dyn := c.maxDyn[i] * activity[i] * c.cfg.DynamicScale(scale)
-		if stalled {
-			// Clock-gated: voltage stays up, clocks stop.
-			dyn = c.maxDyn[i] * activity[i] * c.cfg.StallDynFraction
-			scale = 1 // leakage at full voltage while gated
-		}
-		leak := c.leak0[i] * c.cfg.LeakageScale(units.Celsius(temps[i]), scale)
+		c.groupPower(dst, activity, temps, c.cores.Core(k), cs)
+	}
+	c.groupPower(dst, activity, temps, c.cores.Shared(), CoreState{Scale: 1, Stalled: allStalled})
+	return dst
+}
+
+// groupPower fills dst for the blocks ids, which all run at the
+// operating point cs.
+func (c *Calculator) groupPower(dst units.PowerVec, activity []float64, temps units.TempVec, ids []int32, cs CoreState) {
+	scale := cs.Scale
+	var dynF float64
+	if cs.Stalled {
+		// Clock-gated: voltage stays up, clocks stop, so leakage is
+		// taken at full voltage.
+		dynF, scale = c.cfg.StallDynFraction, 1
+	} else {
+		dynF = c.cfg.DynamicScale(scale)
+	}
+	v := c.cfg.VoltageAt(scale) / c.cfg.VMax
+	beta, t0 := c.cfg.LeakageBeta, float64(c.cfg.LeakageT0)
+	for _, i := range ids {
+		dyn := c.maxDyn[i] * activity[i] * dynF
+		leak := c.leak0[i] * (v * math.Exp(beta*(temps[i]-t0)))
 		dst[i] = dyn + leak
 	}
-	return dst
 }
 
 // ChipLeakageAt returns total chip leakage if every block sat at the

@@ -61,9 +61,39 @@ func noise(seed, n uint64) float64 {
 }
 
 // Bank is an ordered set of sensors, typically one core's watched
-// hotspots or the whole chip's sensor complement.
+// hotspots or the whole chip's sensor complement. Build banks with
+// NewBank: the per-core methods (CoreSensors, HottestForCore) read an
+// index NewBank derives from the sensors' Core fields, so a bank
+// assembled as a literal has no per-core sensors, and appending to
+// Sensors or changing a sensor's Core afterwards leaves the index
+// stale. Other fields (quantization, noise, offset) may be adjusted
+// freely.
 type Bank struct {
 	Sensors []Sensor
+
+	cores *floorplan.CoreIndex // sensor ids by owning core; nil for a literal bank
+}
+
+// NewBank builds a bank over sensors (which it takes ownership of),
+// indexing them by owning core.
+func NewBank(sensors []Sensor) *Bank {
+	owner := make([]int, len(sensors))
+	for i, s := range sensors {
+		owner[i] = s.Core
+	}
+	return &Bank{Sensors: sensors, cores: floorplan.GroupByCore(owner)}
+}
+
+// CoreSensors returns the bank indices of the sensors owned by core, in
+// declaration order; empty for a core with no sensors. The slice is
+// shared and must not be modified.
+//
+//mtlint:zeroalloc
+func (b *Bank) CoreSensors(core int) []int32 {
+	if b.cores == nil {
+		return nil
+	}
+	return b.cores.Core(core)
 }
 
 // Hottest returns the maximum reading across the bank and the index
@@ -94,35 +124,33 @@ func (b *Bank) ReadAll(dst units.TempVec, temps units.TempVec, n int64) units.Te
 }
 
 // ForCore returns the sub-bank of sensors owned by the given core.
-// It allocates a fresh bank; per-tick readers should use HottestForCore
-// or filter Sensors by Core in place instead.
+// It allocates a fresh bank; per-tick readers use HottestForCore or
+// CoreSensors instead.
 func (b *Bank) ForCore(core int) *Bank {
-	out := &Bank{}
+	var out []Sensor
 	for _, s := range b.Sensors {
 		if s.Core == core {
-			out.Sensors = append(out.Sensors, s)
+			out = append(out, s)
 		}
 	}
-	return out
+	return NewBank(out)
 }
 
 // HottestForCore returns the maximum reading across the sensors owned
 // by the given core and the index (within this bank) of the sensor that
 // produced it. Readings and scan order match ForCore(core).Hottest
 // exactly — sensors keep their declaration order either way, and the
-// first maximum wins — but nothing is allocated, so throttlers can call
-// it every control tick. Panics if the core owns no sensors, like
-// Hottest on an empty bank.
+// first maximum wins — but only the core's own sensors are visited and
+// nothing is allocated, so throttlers can call it for every core every
+// control tick at O(sensors per core). Panics if the core owns no
+// sensors, like Hottest on an empty bank.
 //
 //mtlint:zeroalloc
 func (b *Bank) HottestForCore(core int, temps units.TempVec, n int64) (units.Celsius, int) {
 	max, idx := units.Celsius(math.Inf(-1)), -1
-	for i := range b.Sensors {
-		if b.Sensors[i].Core != core {
-			continue
-		}
+	for _, i := range b.CoreSensors(core) {
 		if v := b.Sensors[i].Read(temps, n); v > max {
-			max, idx = v, i
+			max, idx = v, int(i)
 		}
 	}
 	if idx < 0 {
@@ -136,8 +164,8 @@ func (b *Bank) HottestForCore(core int, temps units.TempVec, n int64) (units.Cel
 //
 //go:noinline
 func (b *Bank) noSensorsForCore(core int) {
-	panic(fmt.Sprintf("sensor: HottestForCore on core %d with no sensors (bank size %d)",
-		core, len(b.Sensors)))
+	panic(fmt.Sprintf("sensor: HottestForCore on core %d with no sensors (bank size %d, built by NewBank: %t)",
+		core, len(b.Sensors), b.cores != nil))
 }
 
 // CoreHotspots builds the paper's per-core sensor complement: one
@@ -146,15 +174,32 @@ func (b *Bank) noSensorsForCore(core int) {
 // §5.1). Quantization and noise default to an idealized fast sensor;
 // callers may adjust fields afterwards.
 func CoreHotspots(fp *floorplan.Floorplan) (*Bank, error) {
-	b := &Bank{}
-	n := fp.NumCores()
+	idx, err := fp.Cores()
+	if err != nil {
+		return nil, err
+	}
+	n := idx.NumCores()
+	sensors := make([]Sensor, 0, 2*n)
 	for core := 0; core < n; core++ {
-		irf := fp.FindCoreBlock(core, floorplan.KindIntRegFile)
-		fprf := fp.FindCoreBlock(core, floorplan.KindFPRegFile)
+		// The first block of each kind in floorplan order, as
+		// FindCoreBlock would pick it.
+		irf, fprf := -1, -1
+		for _, i := range idx.Core(core) {
+			switch fp.Blocks[i].Kind {
+			case floorplan.KindIntRegFile:
+				if irf < 0 {
+					irf = int(i)
+				}
+			case floorplan.KindFPRegFile:
+				if fprf < 0 {
+					fprf = int(i)
+				}
+			}
+		}
 		if irf < 0 || fprf < 0 {
 			return nil, fmt.Errorf("sensor: core %d lacks register-file blocks", core)
 		}
-		b.Sensors = append(b.Sensors,
+		sensors = append(sensors,
 			Sensor{
 				Name: fmt.Sprintf("c%d_irf", core), Block: irf, Core: core,
 				Quantization: 0.1, Seed: uint64(1000 + core*2),
@@ -165,7 +210,7 @@ func CoreHotspots(fp *floorplan.Floorplan) (*Bank, error) {
 			},
 		)
 	}
-	return b, nil
+	return NewBank(sensors), nil
 }
 
 // ACPIDiode builds the single edge-of-die diode of the paper's Banias
@@ -176,7 +221,7 @@ func ACPIDiode(fp *floorplan.Floorplan) (*Bank, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("sensor: floorplan %s has no diode_site block", fp.Name)
 	}
-	return &Bank{Sensors: []Sensor{{
+	return NewBank([]Sensor{{
 		Name: "acpi_diode", Block: idx, Core: 0, Quantization: 1.0, Seed: 4242,
-	}}}, nil
+	}}), nil
 }

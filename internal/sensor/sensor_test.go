@@ -63,15 +63,17 @@ func TestBankHottest(t *testing.T) {
 // TestHottestForCoreMatchesForCore pins the equivalence the throttlers
 // rely on after dropping the allocating ForCore sub-bank from their
 // per-tick path: for every core, HottestForCore must report the same
-// reading ForCore(...).Hottest does, and it must not allocate.
+// reading ForCore(...).Hottest does, and it must not allocate. The
+// cores' sensors are interleaved, so the per-core index must keep
+// declaration order within a core.
 func TestHottestForCoreMatchesForCore(t *testing.T) {
-	b := Bank{Sensors: []Sensor{
+	b := NewBank([]Sensor{
 		{Block: 0, Core: 0, NoiseAmplitude: 0.5, Seed: 1},
 		{Block: 1, Core: 1, NoiseAmplitude: 0.5, Seed: 2},
 		{Block: 2, Core: 0, NoiseAmplitude: 0.5, Seed: 3},
 		{Block: 3, Core: 1, NoiseAmplitude: 0.5, Seed: 4},
 		{Block: 4, Core: 0, NoiseAmplitude: 0.5, Seed: 5},
-	}}
+	})
 	temps := units.TempVec{70, 71, 70, 69, 70} // ties within 0.5 °C of noise
 	for core := 0; core <= 1; core++ {
 		for n := int64(0); n < 16; n++ {
@@ -101,8 +103,34 @@ func TestHottestForCoreUnknownCorePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	b := Bank{Sensors: []Sensor{{Block: 0, Core: 0}}}
+	b := NewBank([]Sensor{{Block: 0, Core: 0}})
 	b.HottestForCore(3, units.TempVec{1}, 0)
+}
+
+// TestCoreSensors checks the per-core index NewBank builds: declaration
+// order within a core, shared sensors left out, and an empty list for
+// cores outside the bank.
+func TestCoreSensors(t *testing.T) {
+	b := NewBank([]Sensor{
+		{Block: 0, Core: 1},
+		{Block: 1, Core: floorplan.SharedCore},
+		{Block: 2, Core: 0},
+		{Block: 3, Core: 1},
+	})
+	for core, want := range [][]int32{{2}, {0, 3}, nil} {
+		got := b.CoreSensors(core)
+		if len(got) != len(want) {
+			t.Fatalf("core %d: CoreSensors = %v, want %v", core, got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("core %d: CoreSensors = %v, want %v", core, got, want)
+			}
+		}
+	}
+	if got := b.CoreSensors(-1); len(got) != 0 {
+		t.Errorf("CoreSensors(-1) = %v, want empty", got)
+	}
 }
 
 func TestBankHottestEmptyPanics(t *testing.T) {

@@ -91,6 +91,7 @@ type Runner struct {
 	model   *thermal.Model
 	calc    *power.Calculator
 	bank    *sensor.Bank
+	cores   *floorplan.CoreIndex
 	sched   *osched.Scheduler
 	throt   core.Throttler
 	migCtl  migration.Controller
@@ -103,6 +104,24 @@ type Runner struct {
 
 // New builds a runner for the given policy cell and workload mix.
 func New(cfg Config, mix workload.Mix, spec core.PolicySpec) (*Runner, error) {
+	r, err := newRunner(cfg, spec, mix.Name, mix.Benchmarks[:], func(nCores int) (*osched.Scheduler, error) {
+		if nCores != len(mix.Benchmarks) {
+			return nil, fmt.Errorf("sim: %d cores but %d benchmarks", nCores, len(mix.Benchmarks))
+		}
+		return osched.NewScheduler(mix.Benchmarks[:]), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.mix = mix
+	return r, nil
+}
+
+// newRunner is the setup New and NewTimeshared share: the thermal
+// model, power calculator, sensor bank, per-benchmark trace cursors,
+// scheduler and controllers. newSched builds the OS scheduler for the
+// process population once the floorplan's core count is known.
+func newRunner(cfg Config, spec core.PolicySpec, label string, benchmarks []string, newSched func(nCores int) (*osched.Scheduler, error)) (*Runner, error) {
 	if cfg.SimTime <= 0 {
 		return nil, fmt.Errorf("sim: non-positive sim time")
 	}
@@ -121,9 +140,14 @@ func New(cfg Config, mix workload.Mix, spec core.PolicySpec) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	nCores := cfg.Floorplan.NumCores()
-	if nCores != len(mix.Benchmarks) {
-		return nil, fmt.Errorf("sim: %d cores but %d benchmarks", nCores, len(mix.Benchmarks))
+	cores, err := cfg.Floorplan.Cores()
+	if err != nil {
+		return nil, err
+	}
+	nCores := cores.NumCores()
+	sched, err := newSched(nCores)
+	if err != nil {
+		return nil, err
 	}
 	if len(cfg.CoreMaxScale) != 0 && len(cfg.CoreMaxScale) != nCores {
 		return nil, fmt.Errorf("sim: CoreMaxScale has %d entries for %d cores", len(cfg.CoreMaxScale), nCores)
@@ -135,9 +159,9 @@ func New(cfg Config, mix workload.Mix, spec core.PolicySpec) (*Runner, error) {
 	}
 
 	r := &Runner{
-		cfg: cfg, spec: spec, mix: mix,
-		label: mix.Name, benchNames: append([]string(nil), mix.Benchmarks[:]...),
-		model: model, calc: calc, bank: bank,
+		cfg: cfg, spec: spec,
+		label: label, benchNames: append([]string(nil), benchmarks...),
+		model: model, calc: calc, bank: bank, cores: cores, sched: sched,
 		nCores:    nCores,
 		prevScale: make([]units.ScaleFactor, nCores),
 	}
@@ -156,7 +180,6 @@ func New(cfg Config, mix workload.Mix, spec core.PolicySpec) (*Runner, error) {
 		r.cursors = append(r.cursors, trace.NewCursor(tr))
 	}
 
-	r.sched = osched.NewScheduler(r.benchNames)
 	if cfg.MigrationEpoch > 0 {
 		r.sched.SetEpoch(float64(cfg.MigrationEpoch))
 	}
@@ -244,16 +267,18 @@ func (r *Runner) averageTracePower() units.PowerVec {
 
 // fillCoreActivity writes the activity of the thread on core c into the
 // per-block activity vector, weighted by the core's effective scale for
-// shared blocks.
+// shared blocks. It visits only core c's blocks and the shared ones, so
+// a tick's fill over every core is O(blocks), and each shared block
+// still accumulates its per-core shares in core order.
 func (r *Runner) fillCoreActivity(activity, shared []float64, c int, s *uarch.Sample, effScale float64) {
-	for i, b := range r.cfg.Floorplan.Blocks {
-		if b.Core == c {
-			activity[i] = s.ActivityFor(b.Kind)
-		} else if b.Core == floorplan.SharedCore {
-			// Shared structures aggregate demand from all cores, scaled
-			// by how fast each core actually issues traffic.
-			shared[i] += s.ActivityFor(b.Kind) * effScale
-		}
+	blocks := r.cfg.Floorplan.Blocks
+	for _, i := range r.cores.Core(c) {
+		activity[i] = s.ActivityFor(blocks[i].Kind)
+	}
+	for _, i := range r.cores.Shared() {
+		// Shared structures aggregate demand from all cores, scaled by
+		// how fast each core actually issues traffic.
+		shared[i] += s.ActivityFor(blocks[i].Kind) * effScale
 	}
 }
 
@@ -267,7 +292,8 @@ func (r *Runner) finalizeShared(activity, shared []float64) {
 	if damp < 1 {
 		damp = 1
 	}
-	for i, v := range shared {
+	for _, i := range r.cores.Shared() {
+		v := shared[i]
 		if v == 0 { //mtlint:allow floatcmp exact zero marks untouched shared blocks
 			continue
 		}

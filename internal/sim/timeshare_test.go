@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"multitherm/internal/core"
+	"multitherm/internal/units"
 )
 
 func sixBench() []string {
@@ -17,6 +18,26 @@ func TestTimesharedRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := NewTimeshared(cfg, "x", []string{"gzip", "doom3", "mcf", "vpr", "art"}, core.Baseline, 0); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// TestTimesharedRejectsBadCoreCaps: New and NewTimeshared share one
+// set-up path, so timeshared runs validate CoreMaxScale like New does
+// instead of silently running uncapped.
+func TestTimesharedRejectsBadCoreCaps(t *testing.T) {
+	for _, caps := range [][]units.ScaleFactor{
+		{1, 1},          // wrong length for 4 cores
+		{1, 1, 1, 0.05}, // below the PI controller's minimum scale
+		{1, 1, 1, 1.5},  // above full speed
+	} {
+		cfg := quickCfg()
+		cfg.CoreMaxScale = caps
+		if _, err := NewTimeshared(cfg, "x", sixBench(), core.Baseline, 0); err == nil {
+			t.Errorf("CoreMaxScale %v accepted", caps)
+		}
+		if _, err := New(cfg, mustMix(t, "workload1"), core.Baseline); err == nil {
+			t.Errorf("New accepted CoreMaxScale %v", caps)
+		}
 	}
 }
 

@@ -20,6 +20,12 @@
 #   - step_cost_exponent: least-squares slope of ln(step ns) against
 #     ln(cores) over the four grid sizes — the sparse-solve scaling
 #     claim (dense exact ZOH would fit ~2, per-nonzero cost fits < 2)
+#   - sweep_n{4,16,64,256}_tick_ns: BenchmarkGridTickN* — one whole
+#     timeshared control tick (throttling, rotation, migration, activity
+#     fill, power, thermal step) on the same grids
+#   - tick_cost_exponent: the same fit over the whole tick; per-core
+#     loops are indexed, so it tracks step_cost_exponent rather than
+#     the 2 of a per-core scan over the die
 #   - sweep wall-clock of a quick reproduction, three ways: -workers 1
 #     at GOMAXPROCS=1 (the true sequential baseline), -workers 0 at
 #     GOMAXPROCS=1 (scheduler overhead with no extra CPUs), and
@@ -50,6 +56,23 @@ bench_ns() {
 bench_ns_at() {
     go test -run '^$' -bench "^$1\$" -benchtime="$2"x -count=3 . |
         awk '/ns\/op/ { if (min == "" || $3 < min) min = $3 } END { print (min == "" ? "null" : min) }'
+}
+
+# fit_exponent <ns at 4> <ns at 16> <ns at 64> <ns at 256>: least-squares
+# slope of ln(ns) over ln(cores), the effective power p in
+# cost ~ cores^p.
+fit_exponent() {
+    awk -v a="$1" -v b="$2" -v c="$3" -v d="$4" 'BEGIN {
+        n = 4
+        x[1] = log(4);   y[1] = log(a)
+        x[2] = log(16);  y[2] = log(b)
+        x[3] = log(64);  y[3] = log(c)
+        x[4] = log(256); y[4] = log(d)
+        for (i = 1; i <= n; i++) { sx += x[i]; sy += y[i] }
+        mx = sx / n; my = sy / n
+        for (i = 1; i <= n; i++) { num += (x[i] - mx) * (y[i] - my); den += (x[i] - mx) ^ 2 }
+        printf "%.3f", num / den
+    }'
 }
 
 # sweep_seconds <workers> <gomaxprocs>
@@ -95,19 +118,14 @@ n4_ns=$(bench_ns_at BenchmarkGridStepN4 200000)
 n16_ns=$(bench_ns_at BenchmarkGridStepN16 20000)
 n64_ns=$(bench_ns_at BenchmarkGridStepN64 10000)
 n256_ns=$(bench_ns_at BenchmarkGridStepN256 3000)
-# Least-squares fit of ln(ns) over ln(cores): the fitted exponent is the
-# effective power p in step_cost ~ cores^p.
-step_exponent=$(awk -v a="$n4_ns" -v b="$n16_ns" -v c="$n64_ns" -v d="$n256_ns" 'BEGIN {
-    n = 4
-    x[1] = log(4);   y[1] = log(a)
-    x[2] = log(16);  y[2] = log(b)
-    x[3] = log(64);  y[3] = log(c)
-    x[4] = log(256); y[4] = log(d)
-    for (i = 1; i <= n; i++) { sx += x[i]; sy += y[i] }
-    mx = sx / n; my = sy / n
-    for (i = 1; i <= n; i++) { num += (x[i] - mx) * (y[i] - my); den += (x[i] - mx) ^ 2 }
-    printf "%.3f", num / den
-}')
+step_exponent=$(fit_exponent "$n4_ns" "$n16_ns" "$n64_ns" "$n256_ns")
+
+echo "many-core grid tick scaling (4/16/64/256 cores)..." >&2
+t4_ns=$(bench_ns_at BenchmarkGridTickN4 200000)
+t16_ns=$(bench_ns_at BenchmarkGridTickN16 20000)
+t64_ns=$(bench_ns_at BenchmarkGridTickN64 10000)
+t256_ns=$(bench_ns_at BenchmarkGridTickN256 3000)
+tick_exponent=$(fit_exponent "$t4_ns" "$t16_ns" "$t64_ns" "$t256_ns")
 
 # Warm the build cache and the binary link before timing: the first
 # `go run` pays compile/link and cold page-cache costs that would
@@ -132,6 +150,7 @@ prev_batch_lane_ns=$(prev_or kernel_batch_ns_per_lane "$batch_lane_ns")
 prev_speedup=$(prev_or sweep_parallel_speedup "$speedup")
 prev_speedup_ncpu=$(prev_or sweep_parallel_speedup_ncpu "$speedup_ncpu")
 prev_step_exponent=$(prev_or step_cost_exponent "$step_exponent")
+prev_tick_exponent=$(prev_or tick_cost_exponent "$tick_exponent")
 
 cat >"$out" <<EOF
 {
@@ -146,6 +165,11 @@ cat >"$out" <<EOF
   "sweep_n64_step_ns": ${n64_ns},
   "sweep_n256_step_ns": ${n256_ns},
   "step_cost_exponent": ${step_exponent},
+  "sweep_n4_tick_ns": ${t4_ns},
+  "sweep_n16_tick_ns": ${t16_ns},
+  "sweep_n64_tick_ns": ${t64_ns},
+  "sweep_n256_tick_ns": ${t256_ns},
+  "tick_cost_exponent": ${tick_exponent},
   "sweep_quick_sequential_s": ${seq_s},
   "sweep_quick_parallel_s": ${par_s},
   "sweep_quick_parallel_ncpu_s": ${par_ncpu_s},
@@ -155,7 +179,8 @@ cat >"$out" <<EOF
   "previous_batch_speedup": ${prev_batch_speedup},
   "previous_sweep_parallel_speedup": ${prev_speedup},
   "previous_sweep_parallel_speedup_ncpu": ${prev_speedup_ncpu},
-  "previous_step_cost_exponent": ${prev_step_exponent}
+  "previous_step_cost_exponent": ${prev_step_exponent},
+  "previous_tick_cost_exponent": ${prev_tick_exponent}
 }
 EOF
 

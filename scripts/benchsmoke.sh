@@ -1,14 +1,16 @@
 #!/bin/sh
 # benchsmoke.sh — benchmark-regression gate for CI.
 #
-# Runs the three benchmarks that cover the hot paths end to end — the
+# Runs the four benchmarks that cover the hot paths end to end — the
 # batched thermal kernel (BenchmarkThermalStepBatch32), the batched
-# sweep engine (BenchmarkSweepBatched/batch8), and the sparse Krylov
-# step on a 256-core generated grid (BenchmarkGridStepN256) — takes the
-# min of three
-# repetitions (min-of-N is robust against scheduler noise on shared
-# runners; the min is the least-perturbed run), and fails if either
-# regresses more than 25% against the checked-in BENCH_baseline.json.
+# sweep engine (BenchmarkSweepBatched/batch8), the sparse Krylov step
+# on a 256-core generated grid (BenchmarkGridStepN256), and a whole
+# timeshared control tick on that grid (BenchmarkGridTickN256, which
+# catches a per-core loop falling back to a die-wide scan) — takes the
+# min of three repetitions (min-of-N is robust against scheduler noise
+# on shared runners; the min is the least-perturbed run), and fails if
+# any regresses more than 25% against the checked-in
+# BENCH_baseline.json.
 #
 # Usage: scripts/benchsmoke.sh            # gate against the baseline
 #        scripts/benchsmoke.sh --update   # re-measure, rewrite baseline
@@ -50,13 +52,16 @@ echo "BenchmarkSweepBatched/batch8 (min of 3 x 1 iteration)..." >&2
 sweep8=$(min_ns 'BenchmarkSweepBatched/batch8' 1x)
 echo "BenchmarkGridStepN256 (min of 3 x 3k iterations)..." >&2
 grid256=$(min_ns 'BenchmarkGridStepN256' 3000x)
+echo "BenchmarkGridTickN256 (min of 3 x 3k iterations)..." >&2
+tick256=$(min_ns 'BenchmarkGridTickN256' 3000x)
 
 if [ "${1:-}" = "--update" ]; then
     cat >"$base" <<EOF
 {
   "thermal_step_batch32_ns_per_op": ${batch32},
   "sweep_batched8_ns_per_op": ${sweep8},
-  "grid_step_n256_ns_per_op": ${grid256}
+  "grid_step_n256_ns_per_op": ${grid256},
+  "grid_tick_n256_ns_per_op": ${tick256}
 }
 EOF
     echo "wrote ${base}:" >&2
@@ -68,7 +73,8 @@ status=0
 for row in \
     "BenchmarkThermalStepBatch32 ${batch32} $(field thermal_step_batch32_ns_per_op)" \
     "BenchmarkSweepBatched/batch8 ${sweep8} $(field sweep_batched8_ns_per_op)" \
-    "BenchmarkGridStepN256 ${grid256} $(field grid_step_n256_ns_per_op)"; do
+    "BenchmarkGridStepN256 ${grid256} $(field grid_step_n256_ns_per_op)" \
+    "BenchmarkGridTickN256 ${tick256} $(field grid_tick_n256_ns_per_op)"; do
     set -- $row
     if ! awk -v name="$1" -v got="$2" -v want="$3" 'BEGIN {
         ratio = got / want
