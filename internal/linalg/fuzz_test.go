@@ -8,32 +8,19 @@ import (
 
 // Differential fuzz targets for the asm-backed kernels: every input is
 // run through both the dispatching entry point (SIMD when available)
-// and the registered pure-Go twin, and the results compared. These are
-// the tested-by targets named in the //mtlint:generic directives in
-// simd_amd64.go, and they double as the noasm leg's property tests —
-// on a noasm build both paths collapse to the generic kernel and the
-// comparisons must be exact.
+// and the registered pure-Go twin, and the results compared bit for
+// bit. The twins accumulate with math.FMA in the kernels' column
+// order, and math.FMA and VFMADD231PD are both correctly rounded, so
+// any difference at all is a bug. These are the tested-by targets
+// named in the //mtlint:generic directives in simd_amd64.go, and they
+// double as the noasm leg's property tests.
 //
 // Inputs arrive as (seed, size, ...) primitives rather than raw bytes:
 // a seeded PRNG expands them into operands, so every corpus entry is
 // reproducible and minimization stays meaningful.
 
-// fuzzTol is the relative tolerance for asm-vs-generic comparisons.
-// The SIMD kernels contract mul+add into FMA, so individual results
-// may differ from the generic two-rounding path by a few ULP; 1e-12
-// is ~4 decimal digits of slack over unit roundoff while still
-// catching any indexing or masking bug outright.
-const fuzzTol = 1e-12
-
-// relClose reports whether a and b agree to fuzzTol relative to the
-// larger magnitude (absolute near zero).
-func relClose(a, b float64) bool {
-	d := math.Abs(a - b)
-	if d <= fuzzTol {
-		return true
-	}
-	return d <= fuzzTol*math.Max(math.Abs(a), math.Abs(b))
-}
+// sameBits reports whether a and b are the same float64 bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // randPacked builds a rows×cols matrix of standard normals and packs
 // it, along with a random input vector and bias panel.
@@ -57,18 +44,19 @@ func randPacked(rng *rand.Rand, rows, cols int) (p *Packed, x, bias []float64) {
 }
 
 // FuzzMulAddInto is the differential target for the single-lane
-// (k = 1) path through fusedTickBatch56 and fusedTickBatch64:
-// MulAddInto (SIMD when available) against the registered generic twin
-// mulAddGeneric, within FMA tolerance. Rows past 56 reach the 64-row
-// kernel, rows up to 56 the seven-chunk one.
+// (k = 1) path through fusedTickBatch64: MulAddInto (SIMD when
+// available) against the registered generic twin mulAddGeneric, bit
+// for bit.
 func FuzzMulAddInto(f *testing.F) {
 	f.Add(int64(1), int64(8), int64(6))
 	f.Add(int64(2), int64(64), int64(64)) // full-stride operand
 	f.Add(int64(3), int64(56), int64(55)) // CMP4-sized network
 	f.Add(int64(4), int64(1), int64(1))
-	f.Add(int64(5), int64(63), int64(7)) // odd row count below stride
+	f.Add(int64(5), int64(63), int64(7))   // odd row count below stride
+	f.Add(int64(33), int64(55), int64(55)) // CMP4 Φ operand
+	f.Add(int64(34), int64(55), int64(14)) // CMP4 Ψ operand
 	f.Fuzz(func(t *testing.T, seed, rowsIn, colsIn int64) {
-		rows := int((uint64(rowsIn)-1)%64) + 1 // 1..64: packed fast-path shapes
+		rows := int((uint64(rowsIn)-1)%64) + 1 // 1..64: every packed shape
 		cols := int((uint64(colsIn)-1)%80) + 1
 		rng := rand.New(rand.NewSource(seed))
 		p, x, bias := randPacked(rng, rows, cols)
@@ -78,7 +66,7 @@ func FuzzMulAddInto(f *testing.F) {
 		p.MulAddInto(got, bias, x)
 		p.mulAddGeneric(want, bias, x)
 		for i := 0; i < rows; i++ {
-			if !relClose(got[i], want[i]) {
+			if !sameBits(got[i], want[i]) {
 				t.Fatalf("rows=%d cols=%d row %d: MulAddInto=%g mulAddGeneric=%g (diff %g)",
 					rows, cols, i, got[i], want[i], got[i]-want[i])
 			}
@@ -86,25 +74,35 @@ func FuzzMulAddInto(f *testing.F) {
 	})
 }
 
-// FuzzMulBatchInto is the differential target for fusedTickBatch64,
-// fusedTickBatch56, and fusedTickBatch56x4 (lane counts reach 8, so
-// quad groups plus every remainder width are exercised). Three oracles:
-// per lane, the batched kernel must be bit-identical to sequential
-// one-lane MulAddInto calls (documented contract — same operation kind
-// and column order, whatever the lane count, so the quad and pair
-// kernels must agree with the single-lane loop) and must match the
-// generic twin mulAddGeneric within
-// FMA tolerance; and the blocked generic twin mulBatchGeneric must be
-// bit-identical to per-lane mulAddGeneric, since on noasm builds it IS
-// the batch path and the bit-identity contract has to survive there
-// too. Ragged widths are exercised by varying xStride between tight
-// (cols) and padded (stride).
+// FuzzMulBatchInto is the differential target for fusedTickBatch64 and
+// fusedTickBatch56x4 (lane counts reach 8, so quad groups plus every
+// remainder width are exercised). Per lane, three results must share
+// one bit pattern: the batched kernel, sequential one-lane MulAddInto
+// calls (the documented contract — same operation sequence whatever
+// the lane count, so the quad and pair kernels agree with the
+// single-lane loop), and the generic twin mulAddGeneric; the blocked
+// generic twin mulBatchGeneric must match too, since on noasm builds it
+// IS the batch path. Ragged widths are exercised by varying xStride
+// between tight (cols) and padded (stride).
 func FuzzMulBatchInto(f *testing.F) {
 	f.Add(int64(1), int64(8), int64(6), int64(3), false)
 	f.Add(int64(2), int64(64), int64(64), int64(4), true) // 64-row kernel
-	f.Add(int64(3), int64(56), int64(55), int64(7), true) // 56-row kernel, odd lane count
+	f.Add(int64(3), int64(56), int64(55), int64(7), true) // quads plus a pair-kernel remainder
 	f.Add(int64(4), int64(56), int64(55), int64(1), false)
 	f.Add(int64(5), int64(40), int64(3), int64(2), false) // ragged: narrow operand, tight x
+	// 12- and 13-core grids (58 and 62 nodes) run the pair kernel at
+	// every lane count.
+	f.Add(int64(6), int64(58), int64(58), int64(1), true)
+	f.Add(int64(7), int64(58), int64(58), int64(2), false)
+	f.Add(int64(8), int64(58), int64(12), int64(3), true)
+	f.Add(int64(9), int64(62), int64(62), int64(1), false)
+	f.Add(int64(10), int64(62), int64(62), int64(2), true)
+	f.Add(int64(11), int64(62), int64(13), int64(3), false)
+	// ≤ 56 rows past one quad: the quad kernel, then fusedTickBatch64
+	// for the 1–3 remaining lanes.
+	f.Add(int64(12), int64(55), int64(55), int64(5), true)
+	f.Add(int64(13), int64(55), int64(45), int64(6), false)
+	f.Add(int64(14), int64(23), int64(23), int64(7), true)
 	f.Fuzz(func(t *testing.T, seed, rowsIn, colsIn, lanesIn int64, padX bool) {
 		rows := int((uint64(rowsIn)-1)%64) + 1
 		cols := int((uint64(colsIn)-1)%64) + 1 // ≤ stride so tight and padded xStride both stay legal
@@ -142,15 +140,16 @@ func FuzzMulBatchInto(f *testing.F) {
 			p.MulAddInto(seq, lb, lx)
 			p.mulAddGeneric(gen, lb, lx)
 			for i := 0; i < rows; i++ {
-				if got[l*stride+i] != seq[i] {
+				b := got[l*stride+i]
+				if !sameBits(b, seq[i]) {
 					t.Fatalf("rows=%d cols=%d k=%d xStride=%d lane %d row %d: batch=%g sequential=%g — batched tick must be bit-identical",
-						rows, cols, k, xStride, l, i, got[l*stride+i], seq[i])
+						rows, cols, k, xStride, l, i, b, seq[i])
 				}
-				if !relClose(got[l*stride+i], gen[i]) {
+				if !sameBits(b, gen[i]) {
 					t.Fatalf("rows=%d cols=%d k=%d xStride=%d lane %d row %d: batch=%g mulAddGeneric=%g (diff %g)",
-						rows, cols, k, xStride, l, i, got[l*stride+i], gen[i], got[l*stride+i]-gen[i])
+						rows, cols, k, xStride, l, i, b, gen[i], b-gen[i])
 				}
-				if blocked[l*stride+i] != gen[i] {
+				if !sameBits(blocked[l*stride+i], gen[i]) {
 					t.Fatalf("rows=%d cols=%d k=%d xStride=%d lane %d row %d: mulBatchGeneric=%g mulAddGeneric=%g — blocked generic must be bit-identical per lane",
 						rows, cols, k, xStride, l, i, blocked[l*stride+i], gen[i])
 				}

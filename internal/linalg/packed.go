@@ -2,58 +2,40 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 )
 
-// packedStride is the fixed column stride (in float64s) of the SIMD
-// kernel: eight ZMM accumulators of eight lanes each cover up to 64
+// packedStride is the fixed column stride (in float64s) of the packed
+// operand: eight ZMM accumulators of eight lanes each cover up to 64
 // rows, so every column occupies one 512-byte panel and the assembly
-// needs no masking or tail handling. Matrices with more rows fall back
-// to the generic path at their natural stride.
+// needs no masking or tail handling.
 const packedStride = 64
 
-// Packed is a column-major, zero-padded packing of one or more
-// equal-row matrices laid side by side, built for the fused update
-// y = bias + M₁·x₁ + M₂·x₂ + … that the thermal model's exact
-// discretization performs once per control tick. Column j is stored
-// contiguously at offset j·Stride, so a matrix-vector product streams
-// the data linearly and vectorizes across rows (axpy form) instead of
-// reducing along them. A Packed is read-only after construction and
-// safe to share across goroutines.
+// Packed is a column-major, zero-padded packing of one matrix of at
+// most 64 rows, built for the fused update y = bias + M·x that the
+// thermal model's exact discretization performs once per control tick.
+// Column j is stored contiguously at offset j·Stride, so a
+// matrix-vector product streams the data linearly and vectorizes
+// across rows (axpy form) instead of reducing along them. A Packed is
+// read-only after construction and safe to share across goroutines.
 type Packed struct {
-	rows, cols, stride int
-	data               []float64
+	rows, cols int
+	data       []float64
 }
 
-// Pack concatenates the given matrices column-wise into one packed
-// operand. All matrices must have the same number of rows.
-func Pack(ms ...*Matrix) *Packed {
-	if len(ms) == 0 {
-		panic("linalg: Pack needs at least one matrix")
+// Pack packs m column-major at the fixed 64-row stride. m must have at
+// most 64 rows.
+func Pack(m *Matrix) *Packed {
+	if m.rows > packedStride {
+		panic(fmt.Sprintf("linalg: Pack needs at most %d rows, got %d", packedStride, m.rows))
 	}
-	rows := ms[0].rows
-	cols := 0
-	for _, m := range ms {
-		if m.rows != rows {
-			panic(fmt.Sprintf("linalg: Pack row mismatch: %d vs %d", m.rows, rows))
+	p := &Packed{rows: m.rows, cols: m.cols, data: alignedSlice(m.cols * packedStride)}
+	for j := 0; j < m.cols; j++ {
+		col := p.data[j*packedStride:]
+		for i := 0; i < m.rows; i++ {
+			col[i] = m.At(i, j)
 		}
-		cols += m.cols
-	}
-	stride := rows
-	if rows <= packedStride {
-		stride = packedStride
-	}
-	p := &Packed{rows: rows, cols: cols, stride: stride,
-		data: alignedSlice(cols * stride)}
-	j0 := 0
-	for _, m := range ms {
-		for j := 0; j < m.cols; j++ {
-			col := p.data[(j0+j)*stride:]
-			for i := 0; i < rows; i++ {
-				col[i] = m.At(i, j)
-			}
-		}
-		j0 += m.cols
 	}
 	return p
 }
@@ -61,18 +43,12 @@ func Pack(ms ...*Matrix) *Packed {
 // Rows returns the logical (unpadded) row count.
 func (p *Packed) Rows() int { return p.rows }
 
-// Cols returns the total column count across the packed matrices.
+// Cols returns the column count.
 func (p *Packed) Cols() int { return p.cols }
 
 // Stride returns the padded column stride; callers of MulAddInto must
 // size y and bias to it.
-func (p *Packed) Stride() int { return p.stride }
-
-// SIMDAccelerated reports whether MulAddInto on this operand runs the
-// vectorized kernel rather than the generic loop.
-func (p *Packed) SIMDAccelerated() bool {
-	return simdAvailable && p.stride == packedStride
-}
+func (p *Packed) Stride() int { return packedStride }
 
 // MulAddInto computes y = bias + P·x. x must have length Cols; y and
 // bias must have length Stride; entries of y past Rows are unspecified
@@ -82,7 +58,7 @@ func (p *Packed) SIMDAccelerated() bool {
 //
 //mtlint:zeroalloc
 func (p *Packed) MulAddInto(y, bias, x []float64) {
-	if len(x) != p.cols || len(y) != p.stride || len(bias) != p.stride {
+	if len(x) != p.cols || len(y) != packedStride || len(bias) != packedStride {
 		p.badMulAddArgs(len(x), len(y), len(bias))
 	}
 	p.mulBatch(y, bias, 1, x, p.cols)
@@ -98,24 +74,25 @@ func (p *Packed) badMulAddArgs(nx, ny, nbias int) {
 		panic(fmt.Sprintf("linalg: MulAddInto x length %d, want %d cols", nx, p.cols))
 	}
 	panic(fmt.Sprintf("linalg: MulAddInto y/bias lengths %d/%d, want stride %d",
-		ny, nbias, p.stride))
+		ny, nbias, packedStride))
 }
 
 // mulAddGeneric is the portable axpy-form y = bias + P·x for one lane:
 // the reference twin of the SIMD kernels, and the loop mulBatchGeneric
-// runs for lanes past its blocks of four.
+// runs for lanes past its blocks of four. Each row accumulates one
+// math.FMA per column in ascending column order, starting from bias —
+// the operation sequence of the asm kernels' VFMADD231PD chains, and
+// like them correctly rounded once per step, so the results are
+// bit-identical to the vectorized path.
 //
 //mtlint:zeroalloc
 func (p *Packed) mulAddGeneric(y, bias, x []float64) {
 	copy(y, bias)
 	for j := 0; j < p.cols; j++ {
 		xj := x[j]
-		if xj == 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
-			continue
-		}
-		col := p.data[j*p.stride : j*p.stride+p.rows]
+		col := p.data[j*packedStride : j*packedStride+p.rows]
 		for i, v := range col {
-			y[i] += v * xj
+			y[i] = math.FMA(v, xj, y[i])
 		}
 	}
 }
@@ -136,7 +113,7 @@ func (p *Packed) mulAddGeneric(y, bias, x []float64) {
 // must not alias x or bias.
 //
 // Entries past Rows in each y lane are unspecified on return: when the
-// live rows fit in seven of the eight ZMM chunks (Rows ≤ 56) the
+// live rows fit in seven of the eight ZMM chunks (Rows ≤ 56) the quad
 // kernel skips the all-zero padding chunk entirely and never writes it.
 //
 //mtlint:zeroalloc
@@ -144,7 +121,7 @@ func (p *Packed) MulBatchInto(y, bias []float64, k int, x []float64, xStride int
 	if k == 0 {
 		return
 	}
-	if k < 0 || xStride < p.cols || len(y) != k*p.stride || len(bias) != k*p.stride ||
+	if k < 0 || xStride < p.cols || len(y) != k*packedStride || len(bias) != k*packedStride ||
 		len(x) < (k-1)*xStride+p.cols {
 		p.badMulBatchArgs(len(y), len(bias), k, len(x), xStride)
 	}
@@ -156,31 +133,27 @@ func (p *Packed) MulBatchInto(y, bias []float64, k int, x []float64, xStride int
 //
 //mtlint:zeroalloc
 func (p *Packed) mulBatch(y, bias []float64, k int, x []float64, xStride int) {
-	if p.SIMDAccelerated() && p.cols > 0 {
-		if p.rows <= 56 {
-			// Quad-lane kernel for whole groups of four: each 512-byte
-			// propagator column read from memory feeds four lanes' FMA
-			// chains, halving the operand traffic of the pair kernel.
-			// The remainder (1–3 lanes) runs the pair kernel, offset past
-			// the quads' panels.
-			q := k &^ 3
-			if q > 0 {
-				fusedTickBatch56x4(&p.data[0], p.cols, &x[0], xStride, &bias[0], &y[0], q)
-			}
-			if rem := k - q; rem > 0 {
-				if q == 0 {
-					fusedTickBatch56(&p.data[0], p.cols, &x[0], xStride, &bias[0], &y[0], k)
-				} else {
-					fusedTickBatch56(&p.data[0], p.cols, &x[q*xStride], xStride,
-						&bias[q*p.stride], &y[q*p.stride], rem)
-				}
-			}
-		} else {
-			fusedTickBatch64(&p.data[0], p.cols, &x[0], xStride, &bias[0], &y[0], k)
-		}
+	if !simdAvailable || p.cols == 0 {
+		p.mulBatchGeneric(y, bias, k, x, xStride)
 		return
 	}
-	p.mulBatchGeneric(y, bias, k, x, xStride)
+	q := 0
+	if p.rows <= 56 {
+		// Quad-lane kernel for whole groups of four: each 512-byte
+		// propagator column read from memory feeds four lanes' FMA
+		// chains, halving the operand traffic of the pair kernel.
+		q = k &^ 3
+		if q > 0 {
+			fusedTickBatch56x4(&p.data[0], p.cols, &x[0], xStride, &bias[0], &y[0], q)
+		}
+	}
+	// Every other lane — all of them above 56 rows, the 1–3 lanes past
+	// the quads below — runs the pair kernel, offset past the quads'
+	// panels.
+	if rem := k - q; rem > 0 {
+		fusedTickBatch64(&p.data[0], p.cols, &x[q*xStride], xStride,
+			&bias[q*packedStride], &y[q*packedStride], rem)
+	}
 }
 
 // mulBatchGeneric is the portable multi-lane twin of the batched SIMD
@@ -188,64 +161,39 @@ func (p *Packed) mulBatch(y, bias []float64, k int, x []float64, xStride int) {
 // are walked in blocks of four so each packed column is read from
 // memory once per block instead of once per lane — the same register
 // blocking the quad asm kernel performs, expressed as four concurrent
-// axpy updates the compiler can keep in registers. Per lane the
-// operation kind and column order are exactly mulAddGeneric's (bias
-// copy, then ascending-column axpy with exact-zero skip), so every lane
-// is bit-identical to the sequential path regardless of how the lanes
-// are grouped.
+// FMA chains the compiler can keep in registers. Per lane the operation
+// sequence is exactly mulAddGeneric's (bias copy, then one math.FMA per
+// column in ascending order), so every lane is bit-identical to the
+// sequential and vectorized paths regardless of how the lanes are
+// grouped.
 //
 //mtlint:zeroalloc
 func (p *Packed) mulBatchGeneric(y, bias []float64, k int, x []float64, xStride int) {
-	copy(y[:k*p.stride], bias[:k*p.stride])
+	copy(y[:k*packedStride], bias[:k*packedStride])
 	l := 0
 	for ; l+4 <= k; l += 4 {
-		yA := y[(l+0)*p.stride : (l+0)*p.stride+p.rows]
-		yB := y[(l+1)*p.stride : (l+1)*p.stride+p.rows]
-		yC := y[(l+2)*p.stride : (l+2)*p.stride+p.rows]
-		yD := y[(l+3)*p.stride : (l+3)*p.stride+p.rows]
+		yA := y[(l+0)*packedStride : (l+0)*packedStride+p.rows]
+		yB := y[(l+1)*packedStride : (l+1)*packedStride+p.rows]
+		yC := y[(l+2)*packedStride : (l+2)*packedStride+p.rows]
+		yD := y[(l+3)*packedStride : (l+3)*packedStride+p.rows]
 		xA := x[(l+0)*xStride:]
 		xB := x[(l+1)*xStride:]
 		xC := x[(l+2)*xStride:]
 		xD := x[(l+3)*xStride:]
 		for j := 0; j < p.cols; j++ {
-			col := p.data[j*p.stride : j*p.stride+p.rows]
+			col := p.data[j*packedStride : j*packedStride+p.rows]
 			a, b, c, d := xA[j], xB[j], xC[j], xD[j]
-			if a != 0 && b != 0 && c != 0 && d != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
-				for i, v := range col {
-					yA[i] += v * a
-					yB[i] += v * b
-					yC[i] += v * c
-					yD[i] += v * d
-				}
-				continue
-			}
-			// A lane with a zero input skips the column, exactly as
-			// mulAddGeneric would; the others still share this read of it.
-			if a != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
-				for i, v := range col {
-					yA[i] += v * a
-				}
-			}
-			if b != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
-				for i, v := range col {
-					yB[i] += v * b
-				}
-			}
-			if c != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
-				for i, v := range col {
-					yC[i] += v * c
-				}
-			}
-			if d != 0 { //mtlint:allow floatcmp exact-zero skip adds no rounding (x+0 == x)
-				for i, v := range col {
-					yD[i] += v * d
-				}
+			for i, v := range col {
+				yA[i] = math.FMA(v, a, yA[i])
+				yB[i] = math.FMA(v, b, yB[i])
+				yC[i] = math.FMA(v, c, yC[i])
+				yD[i] = math.FMA(v, d, yD[i])
 			}
 		}
 	}
 	for ; l < k; l++ {
-		p.mulAddGeneric(y[l*p.stride:(l+1)*p.stride],
-			bias[l*p.stride:(l+1)*p.stride],
+		p.mulAddGeneric(y[l*packedStride:(l+1)*packedStride],
+			bias[l*packedStride:(l+1)*packedStride],
 			x[l*xStride:l*xStride+p.cols])
 	}
 }
@@ -261,9 +209,9 @@ func (p *Packed) badMulBatchArgs(ny, nbias, k, nx, xStride int) {
 	if xStride < p.cols {
 		panic(fmt.Sprintf("linalg: MulBatchInto xStride %d below %d cols", xStride, p.cols))
 	}
-	if ny != k*p.stride || nbias != k*p.stride {
+	if ny != k*packedStride || nbias != k*packedStride {
 		panic(fmt.Sprintf("linalg: MulBatchInto y/bias lengths %d/%d, want %d lanes x stride %d",
-			ny, nbias, k, p.stride))
+			ny, nbias, k, packedStride))
 	}
 	panic(fmt.Sprintf("linalg: MulBatchInto x length %d, want at least %d",
 		nx, (k-1)*xStride+p.cols))

@@ -5,15 +5,10 @@ package linalg
 var simdAvailable = false
 
 // fusedTickBatch64 is never reached on non-amd64 or noasm builds:
-// SIMDAccelerated is false everywhere, so MulAddInto and MulBatchInto
-// always take the generic path.
+// simdAvailable is false, so MulAddInto and MulBatchInto always take
+// the generic path.
 func fusedTickBatch64(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int) {
 	panic("linalg: fusedTickBatch64 called without SIMD support")
-}
-
-// fusedTickBatch56 is never reached on non-amd64 or noasm builds either.
-func fusedTickBatch56(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int) {
-	panic("linalg: fusedTickBatch56 called without SIMD support")
 }
 
 // fusedTickBatch56x4 is never reached on non-amd64 or noasm builds either.

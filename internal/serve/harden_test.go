@@ -36,6 +36,9 @@ func TestHostileWireRejected(t *testing.T) {
 		{"floorplan with workload", "/v1/sim", `{"floorplan":"4x4","workload":"workload1","policy":"dist-dvfs","simtime_s":0.001}`},
 		{"grid simtime too large", "/v1/sim", `{"floorplan":"4x4","policy":"dist-dvfs","simtime_s":1e9}`},
 		{"grid simtime negative", "/v1/sim", `{"floorplan":"4x4","policy":"dist-dvfs","simtime_s":-1}`},
+		{"simtime below half a tick", "/v1/sim", `{"workload":"workload1","policy":"dist-dvfs","simtime_s":1e-9}`},
+		{"grid simtime below half a tick", "/v1/sim", `{"floorplan":"4x4","policy":"dist-dvfs","simtime_s":1e-9}`},
+		{"sweep simtime below half a tick", "/v1/sweep", `{"simtime_s":1e-9,"cells":[{"workload":"workload1","policy":"dist-dvfs"}]}`},
 		{"negative trace stride", "/v1/sim/trace", `{"workload":"workload1","policy":"dist-dvfs","every":-1}`},
 		{"huge trace stride", "/v1/sim/trace", fmt.Sprintf(`{"workload":"workload1","policy":"dist-dvfs","every":%d}`, MaxTraceEvery+1)},
 		{"overflow floorplan in sweep", "/v1/sweep", `{"simtime_s":0.001,"cells":[{"floorplan":"99999999x99999999","policy":"dist-dvfs"}]}`},

@@ -105,6 +105,11 @@ func (s *Server) resolveSimTime(reqSimTime, defaultSimTime float64) (float64, er
 	if simTime > s.cfg.maxSimTime() {
 		return 0, fmt.Errorf("serve: simtime_s %g exceeds the server limit of %g s", simTime, s.cfg.maxSimTime())
 	}
+	// A run lasts simTime/period control ticks, rounded to nearest; one
+	// that rounds to zero ticks has nothing to measure.
+	if period := float64(sim.DefaultConfig().Policy.SamplePeriod); simTime/period+0.5 < 1 {
+		return 0, fmt.Errorf("serve: simtime_s %g is shorter than half a control period (%g s)", simTime, period)
+	}
 	return simTime, nil
 }
 

@@ -127,16 +127,6 @@ func NewBatch(models []*Model, dt units.Seconds) (*BatchModel, error) {
 	return b, nil
 }
 
-// Lanes returns the batch width K.
-func (b *BatchModel) Lanes() int { return len(b.lanes) }
-
-// Dt returns the step size the batch advances per tick.
-func (b *BatchModel) Dt() units.Seconds { return units.Seconds(b.d.dt) }
-
-// SIMDAccelerated reports whether the batched tick runs the vectorized
-// panel kernel on this machine.
-func (b *BatchModel) SIMDAccelerated() bool { return b.d.SIMDAccelerated() }
-
 // Step advances every lane by one exact tick: T ← Φ·T + (Ψ·P + ψ_amb),
 // with T the n×K panel. Input terms are memoized per lane and
 // recomputed only for lanes whose power changed since the last tick;

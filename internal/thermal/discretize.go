@@ -176,13 +176,6 @@ func (t *Template) Discretization(dt units.Seconds) (*Discretization, error) {
 // Dt returns the step size the discretization was built for.
 func (d *Discretization) Dt() units.Seconds { return units.Seconds(d.dt) }
 
-// SIMDAccelerated reports whether the per-tick update runs the
-// vectorized packed kernel on this machine. Sparse discretizations
-// step through the generic Krylov kernels, so they report false.
-func (d *Discretization) SIMDAccelerated() bool {
-	return d.prop == nil && d.phiPacked.SIMDAccelerated()
-}
-
 // Phi returns Φ[i][j], the exact dt-step response of node i to a unit
 // initial temperature on node j. Exposed for validation tests; only
 // the dense representation materializes Φ.

@@ -379,8 +379,7 @@ func (t *Template) buildSpreader() {
 	if slabW <= 0 {
 		slabW = p.SpreaderSide * 0.05
 	}
-	for k, node := range []int{nodeSpreaderN, nodeSpreaderE, nodeSpreaderS, nodeSpreaderW} {
-		_ = k
+	for _, node := range []int{nodeSpreaderN, nodeSpreaderE, nodeSpreaderS, nodeSpreaderW} {
 		idx := nb + node
 		// Lateral conduction from the chip-shadow region into the slab:
 		// cross-section = plate thickness × chip side; path length from

@@ -186,8 +186,8 @@ func TestSparseBatchBitIdenticalToSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.SIMDAccelerated() {
-		t.Error("sparse batch claims SIMD acceleration")
+	if !b.d.Sparse() {
+		t.Error("grid batch did not take the sparse path")
 	}
 	for tick := 0; tick < 40; tick++ {
 		for l, m := range models {
