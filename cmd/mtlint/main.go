@@ -5,9 +5,10 @@
 //
 // Analyzers (see internal/analysis/... for the full contracts):
 //
-//	determinism  — wall-clock reads, global rand, map iteration, and
-//	               unordered goroutine result collection in
-//	               //mtlint:deterministic packages
+//	determinism  — wall-clock reads, global rand, map iteration,
+//	               unordered goroutine result collection, and
+//	               host-dependent math.Exp in //mtlint:deterministic
+//	               packages
 //	floatcmp     — ==/!= and switch on floating-point operands
 //	zeroalloc    — heap escapes inside //mtlint:zeroalloc functions
 //	               (from `go build -gcflags=-m` output)

@@ -22,6 +22,11 @@
 //   - append to a captured variable inside a goroutine: result
 //     collection must use index-addressed writes (results[i] = ...) so
 //     completion order cannot reorder — or race on — the output.
+//   - math.Exp: its bits depend on the host, not only on the input.
+//     On amd64 it runs one instruction sequence on CPUs with FMA and
+//     another without, and on arm64 it runs its own assembly. Use
+//     linalg.Exp, which is built from math.FMA and is the same on
+//     every host; suppress with //mtlint:allow mathexp and a reason.
 package determinism
 
 import (
@@ -35,7 +40,7 @@ import (
 // Analyzer is the determinism check.
 var Analyzer = &driver.Analyzer{
 	Name: "determinism",
-	Doc:  "flag wall-clock reads, global rand, map iteration, and unordered goroutine result collection in //mtlint:deterministic packages",
+	Doc:  "flag wall-clock reads, global rand, map iteration, unordered goroutine result collection, and host-dependent math.Exp in //mtlint:deterministic packages",
 	Run:  run,
 }
 
@@ -103,6 +108,10 @@ func checkSelector(pass *driver.Pass, info *types.Info, sel *ast.SelectorExpr) {
 			if !driver.Allowed(pass.Pkg, sel.Pos(), "time") {
 				pass.Reportf(sel.Pos(), "time.%s reads the wall clock in a deterministic package; derive time from tick counters", name)
 			}
+		}
+	case "math":
+		if name == "Exp" && !driver.Allowed(pass.Pkg, sel.Pos(), "mathexp") {
+			pass.Reportf(sel.Pos(), "math.Exp returns host-dependent bits (FMA and non-FMA paths on amd64, assembly on arm64); use linalg.Exp")
 		}
 	case "math/rand", "math/rand/v2":
 		if !seededConstructors[name] {

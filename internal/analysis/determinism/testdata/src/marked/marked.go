@@ -6,6 +6,7 @@
 package marked
 
 import (
+	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"sync"
@@ -31,6 +32,15 @@ func GlobalRand() float64 {
 func SeededRand(seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed)) // seeded constructors are compliant
 	return rng.Float64()
+}
+
+func HostExp(x float64) float64 {
+	return math.Exp(x) // want `math\.Exp returns host-dependent bits`
+}
+
+func AllowedExp(x float64) float64 {
+	//mtlint:allow mathexp report formatting only, never feeds simulation state
+	return math.Exp(x)
 }
 
 func SumMap(m map[string]float64) float64 {

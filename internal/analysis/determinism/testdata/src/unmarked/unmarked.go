@@ -3,6 +3,7 @@
 package unmarked
 
 import (
+	"math"
 	"math/rand"
 	"time"
 )
@@ -10,6 +11,8 @@ import (
 func Clock() time.Time { return time.Now() }
 
 func GlobalRand() float64 { return rand.Float64() }
+
+func HostExp(x float64) float64 { return math.Exp(x) }
 
 func SumMap(m map[string]float64) float64 {
 	var s float64

@@ -75,8 +75,8 @@ import (
 //	//mtlint:allow <check> [reason]
 //	    Line-level suppression, on the flagged line or the line
 //	    directly above it. Checks: floatcmp, maprange, time, rand,
-//	    goappend, unit, lockheld, lockorder, guardedby, cowcheck,
-//	    atomicmix, lifecycle, taint.
+//	    goappend, mathexp, unit, lockheld, lockorder, guardedby,
+//	    cowcheck, atomicmix, lifecycle, taint.
 const directivePrefix = "//mtlint:"
 
 // directive splits an "//mtlint:name args..." comment into its name

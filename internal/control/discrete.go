@@ -2,8 +2,8 @@ package control
 
 import (
 	"fmt"
-	"math"
 
+	"multitherm/internal/linalg"
 	"multitherm/internal/poly"
 	"multitherm/internal/units"
 )
@@ -105,7 +105,9 @@ func (d DiscretePI) ClosedLoopStableZ(pNum, pDen poly.Poly) bool {
 // exact zero-order-hold discrete equivalent
 //
 //	H(z) = K(1−a) / (z − a),  a = e^(−T/τ)
+//
+// e^(−T/τ) is linalg.Exp, so the pole has the same bits on every host.
 func DiscretizePlantZOH(gain float64, tau, T units.Seconds) (num, den poly.Poly) {
-	a := math.Exp(-float64(T / tau))
+	a := linalg.Exp(-float64(T / tau))
 	return poly.New(gain * (1 - a)), poly.New(-a, 1)
 }

@@ -216,3 +216,77 @@ func FuzzExpm(f *testing.F) {
 		}
 	})
 }
+
+// expSpecials are inputs of Exp that leave the kernel's short path, or
+// sit on its edges: a group of eight holding one of the former must go
+// through the scalar twin.
+var expSpecials = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	expFastMax, -expFastMax, math.Nextafter(expFastMax, 1000), math.Nextafter(-expFastMax, -1000),
+	expOverflow, math.Nextafter(expOverflow, 1000), expUnderflow, math.Nextafter(expUnderflow, -1000),
+	-740, 709, 1e300, -1e300, 5e-324,
+}
+
+// FuzzExpAffineInto is the differential target for expAffine8:
+// ExpAffineInto (the AVX-512 kernel when available) against the scalar
+// twin expAffineGeneric, bit for bit. Lengths 0–70 cover every tail
+// mask over up to eight full groups; special values mixed into a
+// vector send their group through the twin while the groups around it
+// stay on the kernel. The output must also leave dst past len(x)
+// untouched, and aliasing dst with x must give the same bits.
+func FuzzExpAffineInto(f *testing.F) {
+	f.Add(int64(1), int64(45), 0.017, 85.0, uint8(0))  // CMP4 leakage pass
+	f.Add(int64(2), int64(7), 1.0, 0.0, uint8(255))    // tail only, all special
+	f.Add(int64(3), int64(70), 1.0, 0.0, uint8(20))    // every group, some special
+	f.Add(int64(4), int64(0), 1.0, 0.0, uint8(0))      // empty
+	f.Add(int64(5), int64(64), -2.5, 10.0, uint8(8))   // whole groups, negative slope
+	f.Add(int64(6), int64(33), 1e-3, -300.0, uint8(0)) // inputs near zero
+	f.Fuzz(func(t *testing.T, seed, nIn int64, a, b float64, specialRate uint8) {
+		n := int(uint64(nIn) % 71)
+		rng := rand.New(rand.NewSource(seed))
+		if a == 0 || math.IsNaN(a) || math.IsInf(a, 0) { // a zero slope has no inverse
+			a = 1
+		}
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			b = 0
+		}
+		x := make([]float64, n)
+		for i := range x {
+			var u float64
+			switch r := rng.Intn(256); {
+			case r < int(specialRate):
+				u = expSpecials[rng.Intn(len(expSpecials))]
+			case r%2 == 0:
+				u = 3 * rng.NormFloat64() // the leakage band
+			default:
+				u = -760 + 1480*rng.Float64() // the whole range and past it
+			}
+			x[i] = u/a + b
+		}
+		const sentinel = 12345.678
+		got := make([]float64, n+9)
+		for i := range got {
+			got[i] = sentinel
+		}
+		want := make([]float64, n)
+		ExpAffineInto(got, x, a, b)
+		expAffineGeneric(want, x, a, b)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("n=%d a=%v b=%v lane %d x=%v: ExpAffineInto=%v (%x), expAffineGeneric=%v (%x)",
+					n, a, b, i, x[i], got[i], got[i], want[i], want[i])
+			}
+		}
+		for i := n; i < len(got); i++ {
+			if !sameBits(got[i], sentinel) {
+				t.Fatalf("n=%d: ExpAffineInto wrote dst[%d] = %v past len(x)", n, i, got[i])
+			}
+		}
+		ExpAffineInto(x, x, a, b)
+		for i := range want {
+			if !sameBits(x[i], want[i]) {
+				t.Fatalf("n=%d lane %d: in place %v, expAffineGeneric %v", n, i, x[i], want[i])
+			}
+		}
+	})
+}

@@ -34,6 +34,20 @@ func fusedTickBatch64(m *float64, cols int, x *float64, xStride int, bias *float
 //go:noescape
 func fusedTickBatch56x4(m *float64, cols int, x *float64, xStride int, bias *float64, y *float64, k int)
 
+// expAffine8 computes dst[i] = Exp(a·(x[i]−b)) eight lanes at a time
+// for i in [0,n), the last group under a lane mask, and returns how
+// many elements it finished: n, or the start of the first group of
+// eight holding an input a·(x[i]−b) outside ±expFastMax or NaN, which
+// it leaves unwritten for ExpAffineInto to run through the scalar
+// twin. Lane for lane it performs expReduce's correctly rounded
+// operations in expReduce's order, so its results are Exp's bits.
+// consts points at expKernelConsts and tab at exp2Table. Implemented
+// in simd_amd64.s.
+//
+//mtlint:generic expAffineGeneric tested-by FuzzExpAffineInto
+//go:noescape
+func expAffine8(dst, x *float64, n int, a, b float64, consts, tab *float64) int
+
 // cpuid executes the CPUID instruction for the given leaf/subleaf.
 //
 //mtlint:nogeneric feature-detection primitive, no arithmetic to mirror
@@ -47,7 +61,7 @@ func xgetbv() (eax, edx uint32)
 var simdAvailable = detectAVX512()
 
 // detectAVX512 reports whether the CPU and OS support the AVX-512F
-// instructions the packed kernel uses: XSAVE/OSXSAVE enabled, XCR0
+// instructions the packed and leakage kernels use: XSAVE/OSXSAVE enabled, XCR0
 // advertising XMM+YMM+opmask+ZMM state saving, and the AVX-512
 // Foundation feature bit set.
 func detectAVX512() bool {

@@ -342,6 +342,111 @@ quaddone:
 	VZEROUPPER
 	RET
 
+// func expAffine8(dst, x *float64, n int, a, b float64, consts, tab *float64) int
+//
+// For each group of eight lanes i in [0,n), under lane mask K1 (all
+// eight, or the low n%8 for the last group):
+//
+//	u  = (x[i] − b)·a                         VSUBPD, VMULPD
+//	kd = u·(64/ln2) + 1.5·2^52                 k = round(u·64/ln2) in the low bits
+//	r  = (kd − 1.5·2^52)·(−ln2/64 hi) + u, then ·(−ln2/64 lo) + r
+//	p  = r²·(c2 + r·(c3 + r·(c4 + r·(c5 + r·c6)))) + r
+//	s  = 2^(j/64) with m added to its exponent, j = k&63, m = k>>6
+//	dst[i] = s·p + s
+//
+// Every step is one correctly rounded VSUBPD/VMULPD/VFMADD, in the
+// order of the scalar expReduce, so each lane carries Exp's bits. A
+// group whose live lanes are not all within ±expFastMax (NaN compares
+// false) stops the kernel before anything of it is stored; the return
+// value is then that group's first index, else n. The table lookup is
+// one VGATHERQPD of exp2Table; j is in [0,64) in every lane, masked or
+// not, so the gather never reads outside the table. Constants, in
+// expKernelConsts order, live in Z18–Z28 for the whole call:
+//
+//	Z16 a, Z17 b, Z18 64/ln2, Z19 1.5·2^52, Z20 −ln2/64 hi,
+//	Z21 −ln2/64 lo, Z22–Z26 c2–c6, Z27 expFastMax, Z28 −expFastMax.
+TEXT ·expAffine8(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), R10
+	MOVQ consts+40(FP), AX
+	MOVQ tab+48(FP), R8
+
+	VBROADCASTSD a+24(FP), Z16
+	VBROADCASTSD b+32(FP), Z17
+	VBROADCASTSD (AX), Z18
+	VBROADCASTSD 8(AX), Z19
+	VBROADCASTSD 16(AX), Z20
+	VBROADCASTSD 24(AX), Z21
+	VBROADCASTSD 32(AX), Z22
+	VBROADCASTSD 40(AX), Z23
+	VBROADCASTSD 48(AX), Z24
+	VBROADCASTSD 56(AX), Z25
+	VBROADCASTSD 64(AX), Z26
+	VBROADCASTSD 72(AX), Z27
+	VBROADCASTSD 80(AX), Z28
+
+	XORQ R9, R9              // index of the group's first lane
+
+exploop:
+	MOVQ R10, CX
+	SUBQ R9, CX              // lanes left
+	JLE  expdone
+	MOVL $0xff, BX
+	CMPQ CX, $8
+	JGE  expmask
+	MOVL $1, BX              // last group: mask (1 << lanes left) − 1
+	SHLL CX, BX
+	DECL BX
+
+expmask:
+	KMOVW BX, K1
+	VMOVUPD.Z (SI)(R9*8), K1, Z0
+	VSUBPD    Z17, Z0, Z0
+	VMULPD    Z16, Z0, Z0    // u
+
+	// Live lanes within ±expFastMax (ordered compares: NaN fails).
+	VCMPPD $0x12, Z27, Z0, K1, K2 // u <= expFastMax, LE_OQ
+	VCMPPD $0x1d, Z28, Z0, K2, K2 // u >= −expFastMax, GE_OQ
+	KMOVW  K2, DX
+	CMPL   DX, BX
+	JNE    expbail
+
+	VMOVAPD     Z19, Z1
+	VFMADD231PD Z18, Z0, Z1  // kd = u·64/ln2 + shift
+	VSUBPD      Z19, Z1, Z2  // k
+	VMOVAPD     Z0, Z3
+	VFMADD231PD Z20, Z2, Z3  // r = k·(−hi) + u
+	VFMADD231PD Z21, Z2, Z3  // r = k·(−lo) + r
+	VMULPD      Z3, Z3, Z4   // r²
+	VMOVAPD     Z25, Z5
+	VFMADD231PD Z26, Z3, Z5  // q = c6·r + c5
+	VFMADD213PD Z24, Z3, Z5  // q = q·r + c4
+	VFMADD213PD Z23, Z3, Z5  // q = q·r + c3
+	VFMADD213PD Z22, Z3, Z5  // q = q·r + c2
+	VFMADD213PD Z3, Z4, Z5   // p = q·r² + r
+
+	VPSLLQ     $58, Z1, Z6
+	VPSRLQ     $58, Z6, Z6   // j = bits(kd) & 63
+	VPSRLQ     $6, Z1, Z7
+	VPSLLQ     $52, Z7, Z7   // m in the exponent field
+	KXNORW     K0, K0, K3
+	VGATHERQPD (R8)(Z6*8), K3, Z8
+	VPADDQ     Z7, Z8, Z8    // s
+	VFMADD231PD Z8, Z5, Z8   // s·p + s
+
+	VMOVUPD Z8, K1, (DI)(R9*8)
+	ADDQ    $8, R9
+	JMP     exploop
+
+expdone:
+	MOVQ R10, R9
+
+expbail:
+	MOVQ R9, ret+56(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -108,3 +108,39 @@ func TestBlockPowerBitIdenticalToPerBlockLoop(t *testing.T) {
 		}
 	}
 }
+
+// cmp4Tick returns one representative CMP4 control tick's inputs: mixed
+// activity, every core at its own DVFS point, one core stop-go gated,
+// die temperatures around T0.
+func cmp4Tick(c *Calculator) (activity []float64, cores []CoreState, temps units.TempVec) {
+	nb := len(c.fp.Blocks)
+	rng := rand.New(rand.NewSource(1))
+	activity = make([]float64, nb)
+	temps = make(units.TempVec, nb)
+	for i := range activity {
+		activity[i] = rng.Float64()
+		temps[i] = 60 + 40*rng.Float64()
+	}
+	cores = []CoreState{{Scale: 1}, {Scale: 0.8}, {Scale: 0.55}, {Scale: 1, Stalled: true}}
+	return activity, cores, temps
+}
+
+func TestBlockPowerAllocFree(t *testing.T) {
+	c := newCalc(t)
+	activity, cores, temps := cmp4Tick(c)
+	dst := units.MakePowerVec(len(temps))
+	if n := testing.AllocsPerRun(100, func() { c.BlockPower(dst, activity, cores, temps) }); n != 0 {
+		t.Fatalf("BlockPower allocates %v times per call, want 0", n)
+	}
+}
+
+func BenchmarkBlockPowerCMP4(b *testing.B) {
+	c := newCalc(b)
+	activity, cores, temps := cmp4Tick(c)
+	dst := units.MakePowerVec(len(temps))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.BlockPower(dst, activity, cores, temps)
+	}
+}

@@ -7,14 +7,15 @@
 // default voltage curve, with an optional realistic voltage floor for
 // ablation studies.
 //
+//mtlint:deterministic
 //mtlint:units
 package power
 
 import (
 	"fmt"
-	"math"
 
 	"multitherm/internal/floorplan"
+	"multitherm/internal/linalg"
 	"multitherm/internal/units"
 )
 
@@ -148,12 +149,13 @@ func (c Config) DynamicScale(s units.ScaleFactor) float64 {
 
 // LeakageScale returns the leakage multiplier at temperature tempC and
 // frequency scale s, relative to (T0, VMax). The result is a
-// dimensionless power multiplier.
+// dimensionless power multiplier. The exponential is linalg.Exp, whose
+// bits do not depend on the host.
 //
 //mtlint:allow unit dimensionless leakage multiplier
 func (c Config) LeakageScale(tempC units.Celsius, s units.ScaleFactor) float64 {
 	v := c.VoltageAt(s) / c.VMax
-	return v * math.Exp(c.LeakageBeta*float64(tempC-c.LeakageT0))
+	return v * linalg.Exp(c.LeakageBeta*float64(tempC-c.LeakageT0))
 }
 
 // Calculator converts per-block activity factors into watts for a
@@ -217,11 +219,15 @@ type CoreState struct {
 //
 // dst may be nil. The returned slice has one entry per block.
 //
-// Blocks are assembled core by core through the floorplan's core
-// index, so the V/f factors — DynamicScale and the leakage voltage
-// term — are evaluated once per core rather than once per block. Each
-// block keeps its own expression and operation order, so the result is
-// bit-identical to evaluating DynamicScale and LeakageScale per block.
+// It makes two passes. The leakage pass writes every block's
+// e^{β(T−T0)} into dst in block order through linalg.ExpAffineInto
+// (eight blocks per instruction on AVX-512 hosts). The combine pass
+// then walks the floorplan's core index and overwrites each entry with
+// the block's watts, so the V/f factors — DynamicScale and the leakage
+// voltage term — are evaluated once per core rather than once per
+// block. Each block keeps its own expression and operation order, so
+// the result is bit-identical to evaluating DynamicScale and
+// LeakageScale per block.
 func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []CoreState, temps units.TempVec) units.PowerVec {
 	nb := len(c.fp.Blocks)
 	if len(activity) != nb || len(temps) != nb {
@@ -230,6 +236,7 @@ func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []
 	if dst == nil {
 		dst = units.MakePowerVec(nb)
 	}
+	linalg.ExpAffineInto(dst, temps, c.cfg.LeakageBeta, float64(c.cfg.LeakageT0))
 	allStalled := true
 	for _, cs := range cores {
 		if !cs.Stalled {
@@ -243,15 +250,15 @@ func (c *Calculator) BlockPower(dst units.PowerVec, activity []float64, cores []
 		if k < len(cores) {
 			cs = cores[k]
 		}
-		c.groupPower(dst, activity, temps, c.cores.Core(k), cs)
+		c.groupPower(dst, activity, c.cores.Core(k), cs)
 	}
-	c.groupPower(dst, activity, temps, c.cores.Shared(), CoreState{Scale: 1, Stalled: allStalled})
+	c.groupPower(dst, activity, c.cores.Shared(), CoreState{Scale: 1, Stalled: allStalled})
 	return dst
 }
 
-// groupPower fills dst for the blocks ids, which all run at the
-// operating point cs.
-func (c *Calculator) groupPower(dst units.PowerVec, activity []float64, temps units.TempVec, ids []int32, cs CoreState) {
+// groupPower turns the leakage exponentials in dst into watts for the
+// blocks ids, which all run at the operating point cs.
+func (c *Calculator) groupPower(dst units.PowerVec, activity []float64, ids []int32, cs CoreState) {
 	scale := cs.Scale
 	var dynF float64
 	if cs.Stalled {
@@ -262,10 +269,9 @@ func (c *Calculator) groupPower(dst units.PowerVec, activity []float64, temps un
 		dynF = c.cfg.DynamicScale(scale)
 	}
 	v := c.cfg.VoltageAt(scale) / c.cfg.VMax
-	beta, t0 := c.cfg.LeakageBeta, float64(c.cfg.LeakageT0)
 	for _, i := range ids {
 		dyn := c.maxDyn[i] * activity[i] * dynF
-		leak := c.leak0[i] * (v * math.Exp(beta*(temps[i]-t0)))
+		leak := c.leak0[i] * (v * dst[i])
 		dst[i] = dyn + leak
 	}
 }
